@@ -33,6 +33,8 @@ from .circuits import (
     synth_transposition,
 )
 from .errors import DomainError, ResourceError
+# success_probability is no longer called here, but benchmarks/tracing.py
+# wraps both names on this module and fails if either is unbound.
 from .search import RunConfig, estimate_distribution, success_probability
 from .text import (
     OracleIndex,
@@ -69,7 +71,10 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("QPM_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise _UsageError(f"invalid QPM_SEED value {env!r}; expected an integer") from None
     return 0
 
 
@@ -77,7 +82,10 @@ def _parse_r_mode(raw: str):
     if raw == "random":
         return "random"
     if raw.startswith("fixed:"):
-        return int(raw.split(":", 1)[1])
+        try:
+            return int(raw.split(":", 1)[1])
+        except ValueError:
+            pass
     raise _UsageError(f"invalid --r value {raw!r}; expected 'random' or 'fixed:<k>'")
 
 
@@ -126,7 +134,7 @@ def cmd_search(args) -> int:
     config = RunConfig(trials=args.trials, seed=seed, r_mode=r_mode)
     dist = estimate_distribution(text, pattern, index, config)
     baseline = closest_match_classical(text, pattern)
-    success = success_probability(text, pattern, index, args.trials, seed, r_mode=r_mode)
+    success = dist.success
 
     spec = {
         "text": args.text,
@@ -188,6 +196,8 @@ def cmd_synth(args) -> int:
             ok, dev = _verify_permutation_circuit(circuit, Permutation(tuple(expected)))
         label = f"transposition {args.a}<->{args.b} width {args.width}"
     elif args.what == "oracle":
+        if len(args.symbol) != 1:
+            raise _UsageError(f"--symbol must be a single character, got {args.symbol!r}")
         text = Text.from_bytes(args.oracle_text.encode("utf-8"))
         symbol = ord(args.symbol)
         n = max(1, math.ceil(math.log2(text.n)) if text.n > 1 else 1)
@@ -319,7 +329,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help and friends
         return 0 if exc.code in (0, None) else EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except DomainError as exc:

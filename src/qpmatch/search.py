@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .simulation import (
+    STATE_BYTES_LIMIT,
     MatchDistribution,
     TailEntangledState,
     apply_diffusion,
@@ -149,28 +150,73 @@ def run_once(
     return RunOutcome(position, schedule, position in ties)
 
 
+def _state_buffer(n: int, m: int) -> np.ndarray:
+    """The one state buffer a trial loop evolves in place, size-checked first."""
+    k = n - m + 1
+    nbytes = 8 * n * k
+    if nbytes > STATE_BYTES_LIMIT:
+        raise ResourceError(f"search state of N*K*8 = {nbytes} bytes (N={n}, K={k}) "
+                            f"exceeds {STATE_BYTES_LIMIT}")
+    # Every operator is real, so float64 holds the reference's exact values.
+    # At K = 1 numpy sums the single contiguous column pairwise, and its
+    # unrolling differs between float64 and complex128: keep complex there.
+    return np.empty((n, k), dtype=np.complex128 if k == 1 else np.float64)
+
+
+def _schedule_probabilities(amps: np.ndarray, j_choices, signs: np.ndarray) -> np.ndarray:
+    """``measure_first_register(_evolve(...)).probabilities``, bit for bit.
+
+    ``amps`` is overwritten.  The j >= 2 queries are skipped: each negates
+    whole columns exactly, the diffusion of a negated column is the exact
+    negation of its diffusion (IEEE rounding is symmetric under sign), and
+    |amp|^2 drops the sign.
+    """
+    n, k = amps.shape
+    amps.fill(0.0)
+    np.fill_diagonal(amps, 1.0 / np.sqrt(k))
+    # complex128 mean() multiplies by 1/N; float64 mean() would divide by N
+    inv_n = 1.0 / n
+    for j in j_choices:
+        if j == 1:
+            amps *= signs[:, None]
+        mu = amps.sum(axis=0) * inv_n
+        np.subtract(2.0 * mu, amps, out=amps)
+    # The imaginary part is always +-0, so |amp|^2 == re*re exactly.
+    re = amps.real
+    np.square(re, out=re)
+    return re.sum(axis=1)
+
+
 def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, config: RunConfig) -> MatchDistribution:
     """Average the exact per-schedule measurement distributions over trials.
 
     No outcome sampling is involved, so the estimate converges quadratically
     faster than counting sampled positions.  The result carries a per-position
-    standard error of the trial mean.
+    standard error of the trial mean.  The same trials also sample one
+    measured position each, as :func:`run_once` does, and the fraction landing
+    in the classical tie set is attached as ``success``.
     """
     if pattern.m > text.n:
         raise DomainError("pattern longer than text")
     n, m = text.n, pattern.m
+    amps = _state_buffer(n, m)
+    signs = 1.0 - 2.0 * index.indicator_for(int(pattern.symbols[0])).bits.astype(np.float64)
+    is_tie = np.zeros(n, dtype=bool)
+    is_tie[list(closest_match_classical(text, pattern).offsets)] = True
     acc = np.zeros(n)
     acc_sq = np.zeros(n)
+    successes = 0
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
         schedule = _draw_with(rng, n, m, config.r_mode, config.j_mode)
-        state = _evolve(n, m, schedule, pattern, index)
-        probs = measure_first_register(state).probabilities
+        probs = _schedule_probabilities(amps, schedule.j_choices, signs)
         acc += probs
         acc_sq += probs * probs
+        successes += bool(is_tie[rng.choice(n, p=probs / probs.sum())])
     mean = acc / config.trials
     var = np.maximum(acc_sq / config.trials - mean**2, 0.0)
     stderr = np.sqrt(var / config.trials)
+    low, high = wilson_interval(successes, config.trials)
     return MatchDistribution(
         mean,
         n,
@@ -180,6 +226,7 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
         seed=config.seed,
         r_mode=config.r_mode_label(),
         stderr=stderr,
+        success=SuccessEstimate(successes, config.trials, successes / config.trials, low, high),
     )
 
 
@@ -204,11 +251,5 @@ def success_probability(
     j_mode: str = J_MODE_RANDOM,
 ) -> SuccessEstimate:
     """Fraction of sampled runs whose measurement lands in the classical tie set."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    successes = 0
-    for trial in range(trials):
-        outcome = run_once(text, pattern, index, seed, trial, r_mode=r_mode, j_mode=j_mode)
-        successes += outcome.success
-    low, high = wilson_interval(successes, trials)
-    return SuccessEstimate(successes, trials, successes / trials, low, high)
+    config = RunConfig(trials=trials, seed=seed, r_mode=r_mode, j_mode=j_mode)
+    return estimate_distribution(text, pattern, index, config).success

@@ -13,14 +13,21 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
 from .text import SymbolIndicator
 
+if TYPE_CHECKING:
+    from .search import SuccessEstimate
+
 #: Hard cap on the naive tensor dimension N^M.
 FULL_REFERENCE_LIMIT = 2**20
+
+#: Hard cap, in bytes, on the float64 N x K state of the search trial loop.
+STATE_BYTES_LIMIT = 2**28
 
 NORM_TOL = 1e-10
 
@@ -54,6 +61,8 @@ class MatchDistribution:
     seed: int | None = None
     r_mode: str | None = None
     stderr: np.ndarray | None = None
+    #: Sampled success of the same trials; kept out of the distribution's JSON.
+    success: SuccessEstimate | None = None
 
     def to_json_dict(self) -> dict:
         return {

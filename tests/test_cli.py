@@ -216,3 +216,51 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "search", "--text", str(path), "--pattern", "ab",
                              "--trials", "2", "--r", "sometimes")
         assert code == 1
+
+    def _assert_one_line_error(self, code, err, expected_code):
+        assert code == expected_code
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_fixed_r_not_an_integer(self, capsys, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"abab")
+        code, _, err = run_cli(capsys, "search", "--text", str(path), "--pattern", "ab",
+                               "--trials", "2", "--r", "fixed:abc")
+        self._assert_one_line_error(code, err, 1)
+
+    def test_env_seed_not_an_integer(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"abab")
+        monkeypatch.setenv("QPM_SEED", "x")
+        code, _, err = run_cli(capsys, "search", "--text", str(path), "--pattern", "ab",
+                               "--trials", "2")
+        self._assert_one_line_error(code, err, 1)
+        assert "QPM_SEED" in err
+
+    def test_oracle_symbol_not_one_character(self, capsys):
+        code, _, err = run_cli(capsys, "synth", "oracle", "--text", "abab", "--symbol", "ab")
+        self._assert_one_line_error(code, err, 1)
+
+    def test_text_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "search", "--text", str(tmp_path), "--pattern", "ab",
+                               "--trials", "2")
+        self._assert_one_line_error(code, err, 2)
+
+    def test_search_state_bounded_before_allocation(self, capsys, tmp_path):
+        # N = 40000, M = 2: the state would take 8*N*K = 12.8 GB.
+        import tracemalloc
+
+        path = tmp_path / "big.bin"
+        rng = np.random.default_rng(0)
+        path.write_bytes(rng.integers(97, 101, size=40_000, dtype=np.uint8).tobytes())
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "search", "--text", str(path), "--pattern", "ab",
+                                   "--trials", "2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        self._assert_one_line_error(code, err, 3)
+        assert err.startswith("resource limit:")
+        assert peak < 32 * 2**20

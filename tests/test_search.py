@@ -12,10 +12,12 @@ from qpmatch import (
     init_state,
     max_iterations,
     measure_first_register,
+    pad_to_power_of_two,
     run_once,
     success_probability,
     wilson_interval,
 )
+from qpmatch.search import _draw_with, _evolve, _schedule_probabilities, _state_buffer, trial_rng
 
 AMPLIFICATION_XFAIL = (
     "diffusion on the first register only cannot amplify matched windows; "
@@ -187,3 +189,78 @@ class TestSuccessProbability:
         assert low == pytest.approx(0.4038, abs=1e-3)
         assert high == pytest.approx(0.5962, abs=1e-3)
         assert wilson_interval(0, 10)[0] == 0.0
+
+
+def _edge_instances():
+    """(label, text, pattern, index) covering the shapes the fused loop special-cases."""
+    rng = np.random.default_rng(11)
+    cases = [
+        ("planted N=212", *planted_instance(212, 10, 190, seed=1)[:2]),
+        ("planted N=256", *planted_instance(256, 4, 200, seed=0)[:2]),
+        ("random N=255", Text.from_codes(rng.integers(0, 4, size=255)),
+         Pattern.from_codes(rng.integers(0, 4, size=3))),
+        ("K=2", Text.from_codes(rng.integers(0, 3, size=40)),
+         Pattern.from_codes(rng.integers(0, 3, size=39))),
+        ("|T|=0", Text.from_codes(rng.integers(0, 4, size=50)), Pattern.from_codes([9, 1, 2])),
+        ("|T|=N", Text.from_codes(np.zeros(33, dtype=np.int64)), Pattern.from_codes([0, 1])),
+    ]
+    for n in (61, 97, 212):  # K = 1 at odd and even N
+        codes = rng.integers(0, 4, size=n)
+        cases.append((f"K=1 N={n}", Text.from_codes(codes), Pattern.from_codes(np.roll(codes, 1))))
+    padded = pad_to_power_of_two(Text.from_codes(rng.integers(0, 4, size=100)), 5)
+    cases.append(("padded", padded, Pattern.from_codes(rng.integers(0, 4, size=5))))
+    return [(label, text, pattern, build_index(text)) for label, text, pattern in cases]
+
+
+SCHEDULE_MODES = [("random", "random"), ("random", "cycle"), (0, "random"), (7, "random"), (5, "cycle")]
+
+
+class TestFusedTrialLoop:
+    """The fused loop must reproduce the dense complex reference bit for bit.
+
+    Two rounding traps make ``allclose`` the wrong check: a float64 ``mean``
+    divides by N where the complex128 one multiplies by 1/N, and at K = 1
+    numpy's pairwise column sum unrolls differently for float64 and
+    complex128.  Either slip moves probabilities by ~1e-18 and can flip an
+    ``argmax`` among exactly tied positions.
+    """
+
+    @pytest.mark.parametrize("r_mode, j_mode", SCHEDULE_MODES)
+    def test_schedule_probabilities_bit_identical(self, r_mode, j_mode):
+        for label, text, pattern, idx in _edge_instances():
+            n, m = text.n, pattern.m
+            amps = _state_buffer(n, m)
+            signs = 1.0 - 2.0 * idx.indicator_for(int(pattern.symbols[0])).bits.astype(np.float64)
+            for trial in range(8):
+                schedule = _draw_with(trial_rng(3, trial), n, m, r_mode, j_mode)
+                expected = measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
+                got = _schedule_probabilities(amps, schedule.j_choices, signs)
+                assert np.array_equal(got, expected), (label, schedule)
+
+    @pytest.mark.parametrize("r_mode, j_mode", [("random", "random"), (4, "cycle")])
+    def test_loop_matches_separate_replays(self, r_mode, j_mode):
+        # The loop used to be two: one averaging distributions, one sampling
+        # run_once.  Its mean, stderr and success count must equal theirs.
+        trials, seed = 12, 5
+        for label, text, pattern, idx in _edge_instances():
+            n, m = text.n, pattern.m
+            acc, acc_sq = np.zeros(n), np.zeros(n)
+            for trial in range(trials):
+                schedule = _draw_with(trial_rng(seed, trial), n, m, r_mode, j_mode)
+                probs = measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
+                acc += probs
+                acc_sq += probs * probs
+            mean = acc / trials
+            stderr = np.sqrt(np.maximum(acc_sq / trials - mean**2, 0.0) / trials)
+            successes = sum(
+                run_once(text, pattern, idx, seed, trial, r_mode=r_mode, j_mode=j_mode).success
+                for trial in range(trials)
+            )
+            config = RunConfig(trials=trials, seed=seed, r_mode=r_mode, j_mode=j_mode)
+            dist = estimate_distribution(text, pattern, idx, config)
+            assert np.array_equal(dist.probabilities, mean), label
+            assert np.array_equal(dist.stderr, stderr), label
+            assert dist.success.successes == successes, label
+            assert dist.success == success_probability(
+                text, pattern, idx, trials, seed, r_mode=r_mode, j_mode=j_mode
+            )
