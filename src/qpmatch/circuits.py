@@ -183,12 +183,8 @@ def lift_boolean(f, n: int) -> Permutation:
 def apply_transpositions(transpositions, size: int) -> Permutation:
     """Operator-product composition: the last transposition acts first."""
     images = list(range(size))
-    for t in reversed(transpositions):
-        for x in range(size):
-            if images[x] == t.a:
-                images[x] = t.b
-            elif images[x] == t.b:
-                images[x] = t.a
+    for t in transpositions:  # images = images o t, so the last t acts first
+        images[t.a], images[t.b] = images[t.b], images[t.a]
     return Permutation(tuple(images))
 
 
@@ -397,16 +393,11 @@ def simulate_unitary(circuit: Circuit) -> np.ndarray:
     return mat
 
 
-def simulate_dense(circuit: Circuit, basis_input: int | None = None) -> np.ndarray:
-    """Dense verifier: full unitary, or one statevector when an input is given."""
-    if basis_input is None:
-        return simulate_unitary(circuit)
-    return simulate_statevector(circuit, basis_input)
-
-
 def permutation_action(circuit: Circuit) -> Permutation:
     """Exact basis-state action of an {X, MCX}-only circuit, as integers."""
     n = circuit.n_qubits
+    if n > STATEVECTOR_QUBIT_LIMIT:
+        raise ResourceError(f"{n} qubits exceeds the permutation limit of {STATEVECTOR_QUBIT_LIMIT}")
     idx = np.arange(2**n)
     for gate in circuit.gates:
         if gate.kind == HADAMARD:

@@ -10,9 +10,7 @@ so replays are byte-identical.  Exit codes: 0 success, 1 usage error, 2 domain e
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import math
 import os
 import sys
 
@@ -20,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .circuits import (
-    Permutation,
     Transposition,
+    apply_transpositions,
     emit_circuit,
     gate_count,
     init_state_target,
@@ -166,13 +164,10 @@ def cmd_search(args) -> int:
     }
 
     if args.out:
-        if args.format == "csv":
-            buf = io.StringIO()
-            dist.write_csv(buf)
-            with open(args.out, "w") as fh:
-                fh.write(buf.getvalue())
-        else:
-            with open(args.out, "w") as fh:
+        with open(args.out, "w") as fh:
+            if args.format == "csv":
+                dist.write_csv(fh)
+            else:
                 fh.write(_json_dumps(bundle))
     print(f"measured argmax: {argmax}")
     print(f"classical ties:  {list(baseline.offsets)} (score {baseline.best_score}/{pattern.m})")
@@ -181,30 +176,28 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _verify_permutation_circuit(circuit, expected) -> tuple:
-    actual = permutation_action(circuit)
-    deviation = 0 if actual.images == expected.images else 1
-    return deviation == 0, float(deviation)
-
-
 def cmd_synth(args) -> int:
+    # Permutation checks print a 0/1 "deviation"; permutation_action runs first
+    # so its qubit limit is checked before the expected table is built.
     if args.what == "transposition":
-        circuit = synth_transposition(Transposition(args.a, args.b), args.width)
+        t = Transposition(args.a, args.b)
+        circuit = synth_transposition(t, args.width)
         if args.verify:
-            expected = [x for x in range(2**args.width)]
-            expected[args.a], expected[args.b] = args.b, args.a
-            ok, dev = _verify_permutation_circuit(circuit, Permutation(tuple(expected)))
+            ok = permutation_action(circuit) == apply_transpositions([t], 2**args.width)
+            dev = float(not ok)
         label = f"transposition {args.a}<->{args.b} width {args.width}"
     elif args.what == "oracle":
-        if len(args.symbol) != 1:
-            raise _UsageError(f"--symbol must be a single character, got {args.symbol!r}")
+        symbol = args.symbol.encode("utf-8")
+        if len(symbol) != 1:
+            raise _UsageError(f"--symbol must be one byte in UTF-8, got {args.symbol!r}")
         text = Text.from_bytes(args.oracle_text.encode("utf-8"))
-        symbol = ord(args.symbol)
-        n = max(1, math.ceil(math.log2(text.n)) if text.n > 1 else 1)
-        bits = [1 if i < text.n and text.symbols[i] == symbol else 0 for i in range(2**n)]
+        n = max(1, (text.n - 1).bit_length())
+        bits = np.zeros(2**n, dtype=np.uint8)
+        bits[: text.n] = build_index(text).indicator_for(symbol[0]).bits
         circuit = synth_boolean_oracle(bits, n)
         if args.verify:
-            ok, dev = _verify_permutation_circuit(circuit, lift_boolean(bits, n))
+            ok = permutation_action(circuit) == lift_boolean(bits, n)
+            dev = float(not ok)
         label = f"oracle for symbol {args.symbol!r} over {text.n} positions ({n} data qubits)"
     else:  # init-state
         circuit = synth_init_state_circuit(args.s, args.m)
@@ -228,6 +221,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_scaling_report(args) -> int:
+    if args.n_max <= args.n_min:
+        raise _UsageError(f"--n-max ({args.n_max}) must be greater than --n-min ({args.n_min})")
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     rows = []
@@ -297,7 +292,7 @@ def build_parser() -> _Parser:
 
     q = synth_sub.add_parser("oracle")
     q.add_argument("--text", dest="oracle_text", required=True, help="text literal")
-    q.add_argument("--symbol", required=True, help="single character")
+    q.add_argument("--symbol", required=True, help="one character of one UTF-8 byte")
     q.add_argument("--verify", action="store_true")
     q.add_argument("--emit", default=None)
     q.set_defaults(func=cmd_synth)

@@ -37,7 +37,6 @@ class GroverSchedule:
 
     r: int
     j_choices: tuple
-    seed: object = None
 
     def __post_init__(self):
         if self.r != len(self.j_choices):
@@ -93,7 +92,11 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
 
 
-def _draw_with(rng, n, m, r_mode, j_mode) -> GroverSchedule:
+def draw_schedule(rng: np.random.Generator, n: int, m: int, r_mode=R_MODE_RANDOM,
+                  j_mode: str = J_MODE_RANDOM) -> GroverSchedule:
+    """Draw r uniform on [0, floor(sqrt(N-M+1))] (or fixed), then r picks j in [1, M] (i.i.d. or cycling)."""
+    if not 1 <= m <= n:
+        raise DomainError(f"require 1 <= M <= N, got M={m}, N={n}")
     if r_mode == R_MODE_RANDOM:
         r = int(rng.integers(0, max_iterations(n, m) + 1))
     else:
@@ -105,14 +108,6 @@ def _draw_with(rng, n, m, r_mode, j_mode) -> GroverSchedule:
     else:
         js = tuple(int(j) for j in rng.integers(1, m + 1, size=r))
     return GroverSchedule(r, js)
-
-
-def draw_schedule(n: int, m: int, seed: int) -> GroverSchedule:
-    """Draw r uniform on [0, floor(sqrt(N-M+1))] and r i.i.d. uniform j in [1, M]."""
-    if not 1 <= m <= n:
-        raise DomainError(f"require 1 <= M <= N, got M={m}, N={n}")
-    sched = _draw_with(trial_rng(seed), n, m, R_MODE_RANDOM, J_MODE_RANDOM)
-    return GroverSchedule(sched.r, sched.j_choices, seed=seed)
 
 
 def grover_step(state: TailEntangledState, j: int, pattern: Pattern, index: OracleIndex) -> TailEntangledState:
@@ -138,11 +133,8 @@ def run_once(
     j_mode: str = J_MODE_RANDOM,
 ) -> RunOutcome:
     """Execute the full algorithm once and sample a single measured position."""
-    if pattern.m > text.n:
-        raise DomainError("pattern longer than text")
     rng = trial_rng(seed, trial)
-    schedule = _draw_with(rng, text.n, pattern.m, r_mode, j_mode)
-    schedule = GroverSchedule(schedule.r, schedule.j_choices, seed=(seed, trial))
+    schedule = draw_schedule(rng, text.n, pattern.m, r_mode, j_mode)
     state = _evolve(text.n, pattern.m, schedule, pattern, index)
     probs = measure_first_register(state).probabilities
     position = int(rng.choice(text.n, p=probs / probs.sum()))
@@ -208,7 +200,7 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     successes = 0
     for trial in range(config.trials):
         rng = trial_rng(config.seed, trial)
-        schedule = _draw_with(rng, n, m, config.r_mode, config.j_mode)
+        schedule = draw_schedule(rng, n, m, config.r_mode, config.j_mode)
         probs = _schedule_probabilities(amps, schedule.j_choices, signs)
         acc += probs
         acc_sq += probs * probs
@@ -221,7 +213,6 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
         mean,
         n,
         m,
-        source="averaged",
         trials=config.trials,
         seed=config.seed,
         r_mode=config.r_mode_label(),

@@ -56,7 +56,6 @@ class MatchDistribution:
     probabilities: np.ndarray
     n: int
     m: int
-    source: str = "state"
     trials: int | None = None
     seed: int | None = None
     r_mode: str | None = None
@@ -190,12 +189,3 @@ def full_apply_diffusion(ref: FullStateReference) -> FullStateReference:
     mat = ref.amps.reshape(ref.n, -1)
     out = 2.0 * mat.mean(axis=0)[None, :] - mat
     return FullStateReference(ref.n, ref.m, out.ravel())
-
-
-def full_reference_apply(ref: FullStateReference, op) -> FullStateReference:
-    """Dispatch an operation descriptor: ("query", j, indicator) or ("diffusion",)."""
-    if op[0] == "query":
-        return full_apply_query(ref, op[1], op[2])
-    if op[0] == "diffusion":
-        return full_apply_diffusion(ref)
-    raise DomainError(f"unknown operation descriptor {op[0]!r}")

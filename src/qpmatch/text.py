@@ -146,11 +146,22 @@ class OracleIndex:
         if payload.get("version") != INDEX_FORMAT_VERSION:
             raise DomainError(f"unsupported index format version: {payload.get('version')!r}")
         n = int(payload["n"])
+        if n < 1:
+            raise DomainError(f"index length n must be >= 1, got {n}")
+        nbytes = (n + 7) // 8
         indicators = {}
+        covered = np.zeros(n, dtype=np.int64)
         for sym_str, encoded in payload["indicators"].items():
             packed = np.frombuffer(base64.b64decode(encoded), dtype=np.uint8)
+            if len(packed) != nbytes:
+                raise DomainError(f"indicator of symbol {sym_str} has {len(packed)} bytes, expected {nbytes}")
             bits = np.unpackbits(packed)[:n]
+            covered += bits
             indicators[int(sym_str)] = SymbolIndicator(int(sym_str), bits)
+        if (covered > 1).any():
+            raise DomainError(f"position {int(np.argmax(covered > 1))} is set in two indicators")
+        if payload.get("alphabet") != sorted(indicators):
+            raise DomainError("alphabet does not match the indicator symbols")
         return cls(n, indicators)
 
 

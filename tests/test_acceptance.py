@@ -23,11 +23,11 @@ from qpmatch import (
     apply_query_phase,
     build_index,
     closest_match_classical,
-    draw_schedule,
     embed_full,
     estimate_distribution,
+    full_apply_diffusion,
+    full_apply_query,
     full_init_state,
-    full_reference_apply,
     gate_count,
     gray_code,
     init_state,
@@ -77,10 +77,10 @@ def test_criterion_1_structured_vs_full_equivalence():
                     j = int(rng.integers(1, m + 1))
                     ind = idx.indicator_for(int(rng.integers(0, 3)))
                     state = apply_query_phase(state, j, ind)
-                    ref = full_reference_apply(ref, ("query", j, ind))
+                    ref = full_apply_query(ref, j, ind)
                 else:
                     state = apply_diffusion(state)
-                    ref = full_reference_apply(ref, ("diffusion",))
+                    ref = full_apply_diffusion(ref)
             worst = max(worst, float(np.abs(embed_full(state).amps - ref.amps).max()))
     ok = worst < 1e-10
     assert report("criterion 1 structured-vs-full", ok, f"max deviation {worst:.3e}")

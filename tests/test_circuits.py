@@ -17,7 +17,6 @@ from qpmatch import (
     parse_circuit,
     permutation_action,
     permutation_to_transpositions,
-    simulate_dense,
     simulate_statevector,
     simulate_unitary,
     synth_boolean_oracle,
@@ -107,7 +106,7 @@ class TestSynthTransposition:
     def test_distance_two(self):
         circuit = synth_transposition(Transposition(0b00, 0b11), 2)
         assert len(circuit.gates) == 3
-        assert np.array_equal(simulate_dense(circuit).real, transposition_matrix(0, 3, 4))
+        assert np.array_equal(simulate_unitary(circuit).real, transposition_matrix(0, 3, 4))
 
     def test_random_exact(self):
         rng = np.random.default_rng(3)
@@ -218,10 +217,10 @@ class TestInitStateCircuit:
 
 class TestDenseSimulation:
     def test_empty_circuit_identity(self):
-        assert np.array_equal(simulate_dense(Circuit(3)), np.eye(8))
+        assert np.array_equal(simulate_unitary(Circuit(3)), np.eye(8))
 
     def test_single_x(self):
-        mat = simulate_dense(Circuit(1, (Gate("X", 0),)))
+        mat = simulate_unitary(Circuit(1, (Gate("X", 0),)))
         assert np.array_equal(mat.real, [[0, 1], [1, 0]])
 
     def test_mirror_gives_identity(self):
@@ -232,7 +231,7 @@ class TestDenseSimulation:
             Gate("H", 1),
         )
         circuit = Circuit(3, gates + tuple(reversed(gates)))
-        assert np.allclose(simulate_dense(circuit), np.eye(8), atol=1e-12)
+        assert np.allclose(simulate_unitary(circuit), np.eye(8), atol=1e-12)
 
     def test_statevector_limit(self):
         with pytest.raises(ResourceError):

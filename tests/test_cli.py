@@ -242,6 +242,26 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "synth", "oracle", "--text", "abab", "--symbol", "ab")
         self._assert_one_line_error(code, err, 1)
 
+    def test_oracle_symbol_not_one_byte(self, capsys):
+        # 'é' is one character but two UTF-8 bytes, and the text is matched by byte.
+        code, out, err = run_cli(capsys, "synth", "oracle", "--text", "café", "--symbol", "é",
+                                 "--verify")
+        self._assert_one_line_error(code, err, 1)
+        assert out == ""
+
+    def test_permutation_check_bounded_before_allocation(self, capsys):
+        code, _, err = run_cli(capsys, "synth", "transposition", "--width", "21",
+                               "--a", "0", "--b", "1", "--verify")
+        self._assert_one_line_error(code, err, 3)
+        assert err.startswith("resource limit:")
+
+    @pytest.mark.parametrize("n_min, n_max", [(5, 3), (3, 3)])
+    def test_scaling_report_needs_two_rows(self, capsys, n_min, n_max):
+        code, out, err = run_cli(capsys, "scaling-report", "--n-min", str(n_min),
+                                 "--n-max", str(n_max))
+        self._assert_one_line_error(code, err, 1)
+        assert out == ""
+
     def test_text_is_a_directory(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "search", "--text", str(tmp_path), "--pattern", "ab",
                                "--trials", "2")

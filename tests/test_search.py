@@ -17,7 +17,7 @@ from qpmatch import (
     success_probability,
     wilson_interval,
 )
-from qpmatch.search import _draw_with, _evolve, _schedule_probabilities, _state_buffer, trial_rng
+from qpmatch.search import _evolve, _schedule_probabilities, _state_buffer, trial_rng
 
 AMPLIFICATION_XFAIL = (
     "diffusion on the first register only cannot amplify matched windows; "
@@ -38,22 +38,22 @@ def planted_instance(n, m, offset, seed=0, alphabet=4):
 class TestDrawSchedule:
     def test_degenerate_bound(self):
         for seed in range(50):
-            sched = draw_schedule(8, 8, seed)
+            sched = draw_schedule(trial_rng(seed), 8, 8)
             assert sched.r in (0, 1)
 
     def test_figure_scale_bound(self):
         assert max_iterations(212, 10) == 14
-        rs = {draw_schedule(212, 10, seed).r for seed in range(300)}
+        rs = {draw_schedule(trial_rng(seed), 212, 10).r for seed in range(300)}
         assert rs <= set(range(15))
 
     def test_j_range(self):
         for seed in range(30):
-            sched = draw_schedule(20, 5, seed)
+            sched = draw_schedule(trial_rng(seed), 20, 5)
             assert all(1 <= j <= 5 for j in sched.j_choices)
             assert len(sched.j_choices) == sched.r
 
     def test_reproducible_from_seed(self):
-        assert draw_schedule(50, 4, 123) == draw_schedule(50, 4, 123)
+        assert draw_schedule(trial_rng(123), 50, 4) == draw_schedule(trial_rng(123), 50, 4)
 
     def test_r_frequencies_uniform(self):
         # 10^5 draws; every r value within 5 sigma of the uniform expectation
@@ -61,7 +61,7 @@ class TestDrawSchedule:
         counts = np.zeros(6)
         trials = 100_000
         for seed in range(trials):
-            counts[draw_schedule(n, m, seed).r] += 1
+            counts[draw_schedule(trial_rng(seed), n, m).r] += 1
         p = 1 / 6
         sigma = np.sqrt(trials * p * (1 - p))
         assert np.abs(counts - trials * p).max() < 5 * sigma
@@ -232,7 +232,7 @@ class TestFusedTrialLoop:
             amps = _state_buffer(n, m)
             signs = 1.0 - 2.0 * idx.indicator_for(int(pattern.symbols[0])).bits.astype(np.float64)
             for trial in range(8):
-                schedule = _draw_with(trial_rng(3, trial), n, m, r_mode, j_mode)
+                schedule = draw_schedule(trial_rng(3, trial), n, m, r_mode, j_mode)
                 expected = measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
                 got = _schedule_probabilities(amps, schedule.j_choices, signs)
                 assert np.array_equal(got, expected), (label, schedule)
@@ -246,7 +246,7 @@ class TestFusedTrialLoop:
             n, m = text.n, pattern.m
             acc, acc_sq = np.zeros(n), np.zeros(n)
             for trial in range(trials):
-                schedule = _draw_with(trial_rng(seed, trial), n, m, r_mode, j_mode)
+                schedule = draw_schedule(trial_rng(seed, trial), n, m, r_mode, j_mode)
                 probs = measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
                 acc += probs
                 acc_sq += probs * probs

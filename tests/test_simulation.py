@@ -17,7 +17,6 @@ from qpmatch import (
     full_apply_diffusion,
     full_apply_query,
     full_init_state,
-    full_reference_apply,
     init_state,
     measure_first_register,
 )
@@ -180,20 +179,15 @@ class TestFullReference:
                     sym = int(rng.integers(0, 3))
                     ind = idx.indicator_for(sym)
                     state = apply_query_phase(state, j, ind)
-                    ref = full_reference_apply(ref, ("query", j, ind))
+                    ref = full_apply_query(ref, j, ind)
                 else:
                     state = apply_diffusion(state)
-                    ref = full_reference_apply(ref, ("diffusion",))
+                    ref = full_apply_diffusion(ref)
                 assert np.abs(embed_full(state).amps - ref.amps).max() < 1e-10
 
     def test_dimension_limit(self):
         with pytest.raises(ResourceError):
             full_init_state(64, 5)
-
-    def test_unknown_descriptor(self):
-        ref = full_init_state(4, 2)
-        with pytest.raises(DomainError):
-            full_reference_apply(ref, ("swap",))
 
 
 class TestDegenerateAndExport:

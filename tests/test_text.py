@@ -203,3 +203,35 @@ class TestIndexSerialization:
         payload["version"] = 99
         with pytest.raises(DomainError):
             OracleIndex.from_json(json.dumps(payload))
+
+    def test_rejects_empty_length(self):
+        payload = json.loads(build_index(T("aba")).to_json())
+        payload["n"], payload["alphabet"], payload["indicators"] = 0, [], {}
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(json.dumps(payload))
+
+    def test_rejects_indicator_of_wrong_byte_length(self):
+        # n = 20 needs 3 bytes per indicator; "aba" packs into 1.
+        payload = json.loads(build_index(T("aba")).to_json())
+        payload["n"] = 20
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(json.dumps(payload))
+
+    def test_rejects_position_in_two_indicators(self):
+        payload = json.loads(build_index(T("aba")).to_json())
+        a, b = str(ord("a")), str(ord("b"))
+        payload["indicators"][b] = payload["indicators"][a]
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(json.dumps(payload))
+
+    def test_rejects_alphabet_mismatch(self):
+        payload = json.loads(build_index(T("aba")).to_json())
+        payload["alphabet"] = [ord("a")]
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(json.dumps(payload))
+
+    def test_padding_positions_belong_to_no_indicator(self):
+        padded = pad_to_power_of_two(T("abcab"), 2)
+        back = OracleIndex.from_json(build_index(padded).to_json())
+        assert back.n == padded.n == 6
+        assert sum(int(ind.bits.sum()) for ind in back.indicators.values()) == 5
