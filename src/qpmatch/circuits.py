@@ -79,8 +79,9 @@ class Permutation:
     images: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(v) for v in self.images))
-        if sorted(self.images) != list(range(len(self.images))):
+        images = np.asarray(self.images, dtype=np.int64)
+        object.__setattr__(self, "images", tuple(images.tolist()))
+        if not np.array_equal(np.sort(images), np.arange(len(images))):
             raise DomainError("image table is not a bijection")
 
     @property
@@ -339,47 +340,52 @@ def init_state_target(s: int, m: int) -> np.ndarray:
 # --- dense simulation ---
 
 
-def _gate_masks(gate: Gate, n: int):
-    tbit = 1 << (n - 1 - gate.target)
-    cmask = 0
-    cval = 0
-    for q, positive in gate.controls:
-        bit = 1 << (n - 1 - q)
-        cmask |= bit
-        if positive:
-            cval |= bit
-    return tbit, cmask, cval
+def _apply_gates(state: np.ndarray, gates, n: int) -> None:
+    """Apply ``gates`` in order, in place; ``state`` has shape (2^n,) or (2^n, batch).
 
-
-def _apply_gate(state: np.ndarray, gate: Gate, n: int) -> None:
-    """In-place gate application; ``state`` has shape (2^n,) or (2^n, batch)."""
-    tbit, cmask, cval = _gate_masks(gate, n)
-    idx = np.arange(len(state))
-    low = idx[(idx & tbit == 0) & (idx & cmask == cval)]
-    high = low | tbit
-    if gate.kind == HADAMARD:
-        a = state[low].copy()
-        b = state[high].copy()
-        state[low] = (a + b) * _SQRT_HALF
-        state[high] = (a - b) * _SQRT_HALF
-    else:
-        tmp = state[low].copy()
-        state[low] = state[high]
-        state[high] = tmp
+    The state is viewed as one axis per qubit (qubit 0 first), so a gate's
+    two halves are basic-index views: controls fixed to their polarity, the
+    target to 0 (``low``) or 1 (``high``).  The trailing ``Ellipsis`` keeps a
+    fully indexed half a 0-d view instead of a copied scalar.  Hadamards
+    round exactly like ``(a + b) * _SQRT_HALF`` and ``(a - b) * _SQRT_HALF``.
+    """
+    view = state.reshape((2,) * n + state.shape[1:])
+    scratch = np.empty(state.size // 2, dtype=state.dtype)
+    for gate in gates:
+        index = [slice(None)] * n
+        for q, positive in gate.controls:
+            index[q] = int(positive)
+        index[gate.target] = 0
+        low = view[tuple(index) + (Ellipsis,)]
+        index[gate.target] = 1
+        high = view[tuple(index) + (Ellipsis,)]
+        tmp = scratch[: low.size].reshape(low.shape)
+        np.copyto(tmp, low)
+        if gate.kind == HADAMARD:
+            low += high
+            low *= _SQRT_HALF
+            np.subtract(tmp, high, out=high)
+            high *= _SQRT_HALF
+        else:
+            np.copyto(low, high)
+            np.copyto(high, tmp)
 
 
 def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
-    """Exact output statevector for a computational basis input."""
+    """Exact output statevector for a computational basis input.
+
+    Every gate is real, so the state evolves in float64 and is returned as
+    complex128 with the same values.
+    """
     n = circuit.n_qubits
     if n > STATEVECTOR_QUBIT_LIMIT:
         raise ResourceError(f"{n} qubits exceeds the statevector limit of {STATEVECTOR_QUBIT_LIMIT}")
     if not 0 <= basis_input < 2**n:
         raise DomainError("basis input out of range")
-    state = np.zeros(2**n, dtype=np.complex128)
+    state = np.zeros(2**n)
     state[basis_input] = 1.0
-    for gate in circuit.gates:
-        _apply_gate(state, gate, n)
-    return state
+    _apply_gates(state, circuit.gates, n)
+    return state.astype(np.complex128)
 
 
 def simulate_unitary(circuit: Circuit) -> np.ndarray:
@@ -387,10 +393,9 @@ def simulate_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > UNITARY_QUBIT_LIMIT:
         raise ResourceError(f"{n} qubits exceeds the unitary limit of {UNITARY_QUBIT_LIMIT}")
-    mat = np.eye(2**n, dtype=np.complex128)
-    for gate in circuit.gates:
-        _apply_gate(mat, gate, n)
-    return mat
+    mat = np.eye(2**n)
+    _apply_gates(mat, circuit.gates, n)
+    return mat.astype(np.complex128)
 
 
 def permutation_action(circuit: Circuit) -> Permutation:
@@ -398,14 +403,14 @@ def permutation_action(circuit: Circuit) -> Permutation:
     n = circuit.n_qubits
     if n > STATEVECTOR_QUBIT_LIMIT:
         raise ResourceError(f"{n} qubits exceeds the permutation limit of {STATEVECTOR_QUBIT_LIMIT}")
-    idx = np.arange(2**n)
-    for gate in circuit.gates:
-        if gate.kind == HADAMARD:
-            raise DomainError("circuit is not a basis permutation: contains Hadamard")
-        tbit, cmask, cval = _gate_masks(gate, n)
-        idx = np.where(idx & cmask == cval, idx ^ tbit, idx)
-    # idx[x] is the image of basis state x
-    return Permutation(tuple(int(v) for v in idx))
+    if any(gate.kind == HADAMARD for gate in circuit.gates):
+        raise DomainError("circuit is not a basis permutation: contains Hadamard")
+    # Moving basis labels like amplitudes leaves moved[y] = the preimage of y.
+    moved = np.arange(2**n)
+    _apply_gates(moved, circuit.gates, n)
+    images = np.empty_like(moved)
+    images[moved] = np.arange(2**n)
+    return Permutation(images)
 
 
 # --- cost accounting and MCX expansion ---

@@ -26,7 +26,8 @@ if TYPE_CHECKING:
 #: Hard cap on the naive tensor dimension N^M.
 FULL_REFERENCE_LIMIT = 2**20
 
-#: Hard cap, in bytes, on the float64 N x K state of the search trial loop.
+#: Hard cap, in bytes, on an N x K search state: the trial loop's float64
+#: buffer and :func:`init_state`'s complex one.
 STATE_BYTES_LIMIT = 2**28
 
 NORM_TOL = 1e-10
@@ -85,6 +86,10 @@ def init_state(n: int, m: int) -> TailEntangledState:
     if not 1 <= m <= n:
         raise DomainError(f"require 1 <= M <= N, got M={m}, N={n}")
     k = n - m + 1
+    nbytes = 16 * n * k
+    if nbytes > STATE_BYTES_LIMIT:
+        raise ResourceError(f"structured state of N*K*16 = {nbytes} bytes (N={n}, K={k}) "
+                            f"exceeds {STATE_BYTES_LIMIT}")
     amps = np.zeros((n, k), dtype=np.complex128)
     amps[np.arange(k), np.arange(k)] = 1.0 / np.sqrt(k)
     return TailEntangledState(n, m, amps)

@@ -69,7 +69,9 @@ class Text:
     def from_bytes(cls, data: bytes) -> "Text":
         if not data:
             raise DomainError("empty text")
-        return cls.from_codes(np.frombuffer(data, dtype=np.uint8).astype(np.int64))
+        raw = np.frombuffer(data, dtype=np.uint8)
+        alphabet = np.flatnonzero(np.bincount(raw, minlength=256)).tolist()
+        return cls.from_codes(raw.astype(np.int64), alphabet)
 
     @classmethod
     def from_file(cls, path) -> "Text":
@@ -142,22 +144,33 @@ class OracleIndex:
 
     @classmethod
     def from_json(cls, document: str) -> "OracleIndex":
-        payload = json.loads(document)
+        try:
+            payload = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"index document is not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise DomainError("index document must be a JSON object")
         if payload.get("version") != INDEX_FORMAT_VERSION:
             raise DomainError(f"unsupported index format version: {payload.get('version')!r}")
-        n = int(payload["n"])
+        if not isinstance(payload.get("n"), int) or not isinstance(payload.get("indicators"), dict):
+            raise DomainError("index document needs an integer 'n' and an 'indicators' object")
+        n = payload["n"]
         if n < 1:
             raise DomainError(f"index length n must be >= 1, got {n}")
         nbytes = (n + 7) // 8
         indicators = {}
         covered = np.zeros(n, dtype=np.int64)
         for sym_str, encoded in payload["indicators"].items():
-            packed = np.frombuffer(base64.b64decode(encoded), dtype=np.uint8)
+            try:
+                symbol = int(sym_str)
+                packed = np.frombuffer(base64.b64decode(encoded, validate=True), dtype=np.uint8)
+            except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+                raise DomainError(f"malformed indicator entry {sym_str!r}: {exc}") from None
             if len(packed) != nbytes:
                 raise DomainError(f"indicator of symbol {sym_str} has {len(packed)} bytes, expected {nbytes}")
             bits = np.unpackbits(packed)[:n]
             covered += bits
-            indicators[int(sym_str)] = SymbolIndicator(int(sym_str), bits)
+            indicators[symbol] = SymbolIndicator(symbol, bits)
         if (covered > 1).any():
             raise DomainError(f"position {int(np.argmax(covered > 1))} is set in two indicators")
         if payload.get("alphabet") != sorted(indicators):

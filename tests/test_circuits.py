@@ -249,6 +249,27 @@ class TestDenseSimulation:
         circuit = Circuit(2, (Gate("MCX", 1, ((0, False),)),))
         assert permutation_action(circuit).images == (1, 0, 2, 3)
 
+    def test_mcx_controlled_by_every_other_qubit(self):
+        # Fixing all five qubits leaves one amplitude on each side of the gate
+        # (for the unitary, one row of 32 columns per side).
+        controls = ((0, True), (1, False), (3, True), (4, False))
+        circuit = Circuit(5, (Gate("MCX", 2, controls),))
+        low, high = 0b10010, 0b10110
+        images = list(range(32))
+        images[low], images[high] = high, low
+        for x in range(32):
+            expected = np.zeros(32, dtype=np.complex128)
+            expected[images[x]] = 1
+            assert np.array_equal(simulate_statevector(circuit, x), expected)
+        assert np.array_equal(simulate_unitary(circuit), np.eye(32)[:, images])
+
+    def test_permutation_action_at_qubit_limit(self):
+        t1, t2 = Transposition(3, 2**20 - 5), Transposition(2**19 + 7, 12345)
+        gates = synth_transposition(t1, 20).gates + synth_transposition(t2, 20).gates
+        # t1's gates act first, so t1 is the last factor of the operator product.
+        expected = apply_transpositions([t2, t1], 2**20)
+        assert permutation_action(Circuit(20, gates)) == expected
+
 
 class TestGateCount:
     def test_empty(self):

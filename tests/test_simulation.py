@@ -56,6 +56,12 @@ class TestInitState:
         with pytest.raises(DomainError):
             init_state(3, 0)
 
+    def test_size_limit_before_allocation(self):
+        # 16 * N * K = 16 * 100000 * 99999 bytes, about 160 GB: the check must
+        # fire before np.zeros is asked for the state.
+        with pytest.raises(ResourceError):
+            init_state(100_000, 2)
+
 
 class TestQueryPhase:
     def test_all_zero_indicator_is_identity(self):

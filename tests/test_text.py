@@ -230,6 +230,28 @@ class TestIndexSerialization:
         with pytest.raises(DomainError):
             OracleIndex.from_json(json.dumps(payload))
 
+    def test_rejects_document_that_is_not_json(self):
+        with pytest.raises(DomainError):
+            OracleIndex.from_json("not json")
+
+    def test_rejects_document_that_is_not_an_object(self):
+        with pytest.raises(DomainError):
+            OracleIndex.from_json("[1]")
+
+    def test_rejects_missing_length(self):
+        with pytest.raises(DomainError):
+            OracleIndex.from_json('{"version": 1}')
+
+    def test_rejects_missing_indicators(self):
+        with pytest.raises(DomainError):
+            OracleIndex.from_json('{"version": 1, "n": 4}')
+
+    @pytest.mark.parametrize("entry", [{"x": "AA=="}, {"97": 5}, {"97": "!!"}])
+    def test_rejects_malformed_indicator_entry(self, entry):
+        document = {"version": 1, "n": 4, "alphabet": [97], "indicators": entry}
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(json.dumps(document))
+
     def test_padding_positions_belong_to_no_indicator(self):
         padded = pad_to_power_of_two(T("abcab"), 2)
         back = OracleIndex.from_json(build_index(padded).to_json())
