@@ -17,6 +17,7 @@ reverses the transposition sequence.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,32 +132,30 @@ def emit_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each whitespace-normalized line must match one rule in full.  Qubit numbers
+# have at most nine digits, far beyond any simulable circuit.
+_HEADER_LINE = re.compile(r"QUBITS ([0-9]{1,9})")
+_SINGLE_LINE = re.compile(r"([HX]) q([0-9]{1,9})")
+_MCX_LINE = re.compile(r"MCX((?: [+-]q[0-9]{1,9})*) -> q([0-9]{1,9})")
+
+
 def parse_circuit(document: str) -> Circuit:
-    lines = [ln.strip() for ln in document.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("QUBITS "):
-        raise DomainError("circuit document must start with a QUBITS header")
-    n_qubits = int(lines[0].split()[1])
+    """Parse the text format of :func:`emit_circuit`; malformed input raises DomainError."""
+    lines = [" ".join(ln.split()) for ln in document.splitlines()]
+    lines = [ln for ln in lines if ln]
+    header = _HEADER_LINE.fullmatch(lines[0]) if lines else None
+    if header is None:
+        raise DomainError("circuit document must start with a 'QUBITS <count>' header")
     gates = []
     for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        if kind in (HADAMARD, PAULI_X):
-            if len(parts) != 2 or not parts[1].startswith("q"):
-                raise DomainError(f"malformed gate line: {ln!r}")
-            gates.append(Gate(kind, int(parts[1][1:])))
-        elif kind == MCX:
-            if "->" not in parts:
-                raise DomainError(f"malformed MCX line: {ln!r}")
-            arrow = parts.index("->")
-            controls = []
-            for tok in parts[1:arrow]:
-                if tok[0] not in "+-" or not tok[1:].startswith("q"):
-                    raise DomainError(f"malformed control token {tok!r}")
-                controls.append((int(tok[2:]), tok[0] == "+"))
-            gates.append(Gate(MCX, int(parts[arrow + 1][1:]), tuple(controls)))
+        if single := _SINGLE_LINE.fullmatch(ln):
+            gates.append(Gate(single[1], int(single[2])))
+        elif mcx := _MCX_LINE.fullmatch(ln):
+            controls = tuple((int(tok[2:]), tok[0] == "+") for tok in mcx[1].split())
+            gates.append(Gate(MCX, int(mcx[2]), controls))
         else:
-            raise DomainError(f"unknown gate kind in line: {ln!r}")
-    return Circuit(n_qubits, tuple(gates))
+            raise DomainError(f"malformed gate line: {ln!r}")
+    return Circuit(int(header[1]), tuple(gates))
 
 
 # --- permutations, transpositions and Gray codes ---
@@ -173,20 +172,19 @@ def lift_boolean(f, n: int) -> Permutation:
     table = np.asarray([int(f[x]) for x in range(2**n)])
     if not np.isin(table, (0, 1)).all():
         raise DomainError("function values must be bits")
-    images = list(range(2 ** (n + 1)))
-    for x in range(2**n):
-        if table[x]:
-            images[x] = 2**n + x
-            images[2**n + x] = x
-    return Permutation(tuple(images))
+    images = np.arange(2 ** (n + 1))
+    ones = np.flatnonzero(table)
+    images[ones] = 2**n + ones
+    images[2**n + ones] = ones
+    return Permutation(images)
 
 
 def apply_transpositions(transpositions, size: int) -> Permutation:
     """Operator-product composition: the last transposition acts first."""
-    images = list(range(size))
+    images = np.arange(size)
     for t in transpositions:  # images = images o t, so the last t acts first
         images[t.a], images[t.b] = images[t.b], images[t.a]
-    return Permutation(tuple(images))
+    return Permutation(images)
 
 
 def permutation_to_transpositions(p: Permutation):
@@ -234,18 +232,19 @@ def gray_code(l: int, l_prime: int, width: int) -> GrayCodePath:
 
 def _step_gate(word_a: int, word_b: int, width: int) -> Gate:
     """MCX transposing two words at Hamming distance 1, fixing everything else."""
-    diff = word_a ^ word_b
-    bit = diff.bit_length() - 1
-    target = width - 1 - bit
-    controls = []
-    for q in range(width):
-        if q == target:
-            continue
-        positive = bool((word_a >> (width - 1 - q)) & 1)
-        controls.append((q, positive))
-    if not controls:
-        return Gate(PAULI_X, target)
-    return Gate(MCX, target, tuple(controls))
+    target = width - (word_a ^ word_b).bit_length()
+    controls = tuple((q, bool((word_a >> (width - 1 - q)) & 1)) for q in range(width) if q != target)
+    return Gate(MCX, target, controls) if controls else Gate(PAULI_X, target)
+
+
+def _transposition_gates(t: Transposition, width: int) -> list:
+    """The gates of :func:`synth_transposition`: a forward sweep and its mirror."""
+    if not (0 <= t.a < 2**width and 0 <= t.b < 2**width):
+        raise DomainError("transposition endpoints out of range for the given width")
+    path = gray_code(t.a, t.b, width).words
+    steps = [_step_gate(u, v, width) for u, v in zip(path, path[1:])]
+    # The backward sweep undoes steps k-1 ... 1; gates are frozen, so reuse them.
+    return steps + steps[-2::-1]
 
 
 def synth_transposition(t: Transposition, width: int) -> Circuit:
@@ -256,25 +255,19 @@ def synth_transposition(t: Transposition, width: int) -> Circuit:
     words); the backward sweep restores the interior, leaving the pure
     transposition.
     """
-    if not (0 <= t.a < 2**width and 0 <= t.b < 2**width):
-        raise DomainError("transposition endpoints out of range for the given width")
-    path = gray_code(t.a, t.b, width).words
-    k = len(path) - 1
-    gates = [_step_gate(path[i - 1], path[i], width) for i in range(1, k + 1)]
-    gates.extend(_step_gate(path[i - 1], path[i], width) for i in range(k - 1, 0, -1))
-    return Circuit(width, tuple(gates))
+    return Circuit(width, _transposition_gates(t, width))
 
 
 def synth_permutation(p: Permutation, width: int) -> Circuit:
-    """Compile a permutation by concatenating its transposition circuits.
+    """Compile a permutation by concatenating its transposition ladders.
 
-    The transposition sequence is an operator product, so the circuits are
+    The transposition sequence is an operator product, so the ladders are
     laid down in reverse sequence order.
     """
     gates = []
     for t in reversed(permutation_to_transpositions(p)):
-        gates.extend(synth_transposition(t, width).gates)
-    return Circuit(width, tuple(gates))
+        gates += _transposition_gates(t, width)
+    return Circuit(width, gates)
 
 
 def synth_boolean_oracle(f, n: int) -> Circuit:

@@ -146,7 +146,7 @@ class OracleIndex:
     def from_json(cls, document: str) -> "OracleIndex":
         try:
             payload = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long int, deep nesting
             raise DomainError(f"index document is not JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise DomainError("index document must be a JSON object")
@@ -159,7 +159,6 @@ class OracleIndex:
             raise DomainError(f"index length n must be >= 1, got {n}")
         nbytes = (n + 7) // 8
         indicators = {}
-        covered = np.zeros(n, dtype=np.int64)
         for sym_str, encoded in payload["indicators"].items():
             try:
                 symbol = int(sym_str)
@@ -168,9 +167,11 @@ class OracleIndex:
                 raise DomainError(f"malformed indicator entry {sym_str!r}: {exc}") from None
             if len(packed) != nbytes:
                 raise DomainError(f"indicator of symbol {sym_str} has {len(packed)} bytes, expected {nbytes}")
-            bits = np.unpackbits(packed)[:n]
-            covered += bits
-            indicators[symbol] = SymbolIndicator(symbol, bits)
+            indicators[symbol] = SymbolIndicator(symbol, np.unpackbits(packed)[:n])
+        # Size by n only once indicators exist: each holds ceil(n/8) bytes, so the document bounds n.
+        covered = np.zeros(n if indicators else 0, dtype=np.int64)
+        for ind in indicators.values():
+            covered += ind.bits
         if (covered > 1).any():
             raise DomainError(f"position {int(np.argmax(covered > 1))} is set in two indicators")
         if payload.get("alphabet") != sorted(indicators):

@@ -357,6 +357,20 @@ class TestTextFormat:
             parse_circuit("QUBITS 2\nCZ q0\n")
         with pytest.raises(DomainError):
             parse_circuit("QUBITS 2\nMCX q0 q1\n")
+        for document in (
+            "QUBITS abc\n",
+            "QUBITS 2\nH qx\n",
+            "QUBITS 2\nMCX +q1 -> qz\n",
+            "QUBITS 2\nMCX +q1 ->\n",
+            "QUBITS -1\n",
+        ):
+            with pytest.raises(DomainError):
+                parse_circuit(document)
+
+    def test_zero_controls_and_whitespace_runs(self):
+        circuit = Circuit(3, (Gate("MCX", 0), Gate("MCX", 2, ((0, True), (1, False))), Gate("H", 1)))
+        assert emit_circuit(circuit).splitlines()[1] == "MCX -> q0"
+        assert parse_circuit(" QUBITS \t3\n\nMCX  -> q0\nMCX\t+q0   -q1 ->  q2 \nH\tq1\n") == circuit
 
 
 class TestSynthPermutation:
@@ -367,3 +381,36 @@ class TestSynthPermutation:
             images = tuple(int(v) for v in rng.permutation(2**w))
             circuit = synth_permutation(Permutation(images), w)
             assert permutation_action(circuit).images == images
+
+
+class TestSynthesisStructure:
+    def test_one_circuit_per_synthesis(self, monkeypatch):
+        built = []
+        original = Circuit.__post_init__
+
+        def counting(circuit):
+            built.append(circuit)
+            original(circuit)
+
+        monkeypatch.setattr(Circuit, "__post_init__", counting)
+        rng = np.random.default_rng(8)
+        p = Permutation(tuple(int(v) for v in rng.permutation(32)))
+        f = rng.integers(0, 2, size=64)
+        calls = (
+            lambda: synth_transposition(Transposition(0b00101, 0b11010), 5),
+            lambda: synth_permutation(p, 5),
+            lambda: synth_boolean_oracle(f, 6),
+        )
+        for call in calls:
+            built.clear()
+            assert call().gates  # a nontrivial circuit ...
+            assert len(built) == 1  # ... built as one Circuit
+
+    def test_backward_sweep_mirrors_forward_sweep(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            width = int(rng.integers(1, 11))
+            a, b = (int(v) for v in rng.choice(2**width, size=2, replace=False))
+            gates = synth_transposition(Transposition(a, b), width).gates
+            k = bin(a ^ b).count("1")
+            assert gates[k:] == gates[: k - 1][::-1]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,26 @@ class TestIndexSerialization:
         document = {"version": 1, "n": 4, "alphabet": [97], "indicators": entry}
         with pytest.raises(DomainError):
             OracleIndex.from_json(json.dumps(document))
+
+    def test_length_without_indicators_allocates_nothing(self):
+        document = '{"version":1,"n":1000000000000,"alphabet":[],"indicators":{}}'
+        tracemalloc.start()
+        try:
+            back = OracleIndex.from_json(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.n == 10**12 and back.indicators == {}
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "document",
+        ["[" * 100_000, '{"version": 1, "n": 1' + "0" * 5000 + "}"],
+        ids=["deep-nesting", "over-long-integer"],
+    )
+    def test_rejects_documents_the_json_decoder_cannot_build(self, document):
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(document)
 
     def test_padding_positions_belong_to_no_indicator(self):
         padded = pad_to_power_of_two(T("abcab"), 2)
