@@ -169,8 +169,11 @@ def lift_boolean(f, n: int) -> Permutation:
     """
     if n < 1:
         raise DomainError("need at least one data bit")
-    table = np.asarray([int(f[x]) for x in range(2**n)])
-    if not np.isin(table, (0, 1)).all():
+    table = np.asarray(f)
+    if table.ndim != 1 or len(table) < 2**n:
+        raise DomainError(f"function table needs 2^{n} = {2**n} entries")
+    table = table[: 2**n]
+    if not ((table == 0) | (table == 1)).all():
         raise DomainError("function values must be bits")
     images = np.arange(2 ** (n + 1))
     ones = np.flatnonzero(table)

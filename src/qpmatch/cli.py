@@ -99,9 +99,9 @@ def _load_pattern(args) -> Pattern:
 
 def cmd_index(args) -> int:
     index = build_index(Text.from_file(args.text))
-    document = index.to_json() + "\n"
     with open(args.out, "w") as fh:
-        fh.write(document)
+        fh.write(index.to_json())
+        fh.write("\n")
     print(f"index written to {args.out} ({len(index.indicators)} indicators, n={index.n})")
     return EXIT_OK
 

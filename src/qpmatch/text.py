@@ -22,15 +22,30 @@ SENTINEL = -1
 INDEX_FORMAT_VERSION = 1
 
 
-def _frozen_array(values, dtype=np.int64) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).copy()
-    arr.setflags(write=False)
-    return arr
+def _frozen_codes(values) -> np.ndarray:
+    """Read-only copy of symbol codes: uint8 when every code is in 0..255, else int64."""
+    codes = np.asarray(values)
+    if codes.dtype != np.uint8:
+        codes = np.asarray(codes, dtype=np.int64)
+    byte_wide = codes.dtype == np.uint8 or (codes.size > 0 and codes.min() >= 0 and codes.max() <= 255)
+    frozen = codes.astype(np.uint8 if byte_wide else np.int64)
+    frozen.setflags(write=False)
+    return frozen
+
+
+def _holds(symbols: np.ndarray, code: int) -> bool:
+    """Whether the dtype of ``symbols`` can hold ``code``; a code it cannot hold occurs nowhere."""
+    info = np.iinfo(symbols.dtype)
+    return info.min <= code <= info.max
 
 
 @dataclass(frozen=True)
 class Text:
     """An immutable string of symbol codes of length N over a finite alphabet.
+
+    ``symbols`` is a read-only copy of the codes: uint8 when every code is in
+    0..255 (every text read from bytes), int64 otherwise (sentinel-padded
+    texts, negative codes, k-gram recodings with more than 256 codes).
 
     ``padded_from`` records the original length when sentinel padding has
     been appended (see :func:`pad_to_power_of_two`); it is ``None`` for
@@ -42,14 +57,19 @@ class Text:
     padded_from: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", _frozen_array(self.symbols))
+        object.__setattr__(self, "symbols", _frozen_codes(self.symbols))
         if self.n < 1:
             raise DomainError("text must contain at least one symbol")
         if SENTINEL in self.alphabet:
             raise DomainError("alphabet may not contain the padding sentinel")
         limit = self.padded_from if self.padded_from is not None else self.n
         body = self.symbols[:limit]
-        if not np.isin(body, list(self.alphabet)).all():
+        if body.dtype == np.uint8:  # delete the alphabet's bytes; any byte left is outside it
+            alphabet_bytes = bytes(c for c in self.alphabet if 0 <= c <= 255)
+            outside = bool(body.tobytes().translate(None, alphabet_bytes))
+        else:
+            outside = not np.isin(body, list(self.alphabet)).all()
+        if outside:
             raise DomainError("text contains symbols outside its alphabet")
         if self.padded_from is not None and not (self.symbols[limit:] == SENTINEL).all():
             raise DomainError("padding region must hold only the sentinel code")
@@ -60,18 +80,16 @@ class Text:
 
     @classmethod
     def from_codes(cls, codes, alphabet=None) -> "Text":
-        codes = np.asarray(codes, dtype=np.int64)
         if alphabet is None:
-            alphabet = frozenset(int(c) for c in codes)
+            alphabet = (int(c) for c in codes)
         return cls(codes, frozenset(alphabet))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Text":
         if not data:
             raise DomainError("empty text")
-        raw = np.frombuffer(data, dtype=np.uint8)
-        alphabet = np.flatnonzero(np.bincount(raw, minlength=256)).tolist()
-        return cls.from_codes(raw.astype(np.int64), alphabet)
+        raw = np.frombuffer(data, dtype=np.uint8)  # a view; the constructor makes the one copy
+        return cls(raw, frozenset(np.flatnonzero(np.bincount(raw, minlength=256)).tolist()))
 
     @classmethod
     def from_file(cls, path) -> "Text":
@@ -81,12 +99,16 @@ class Text:
 
 @dataclass(frozen=True)
 class Pattern:
-    """An immutable sequence of symbol codes of length M."""
+    """An immutable sequence of symbol codes of length M.
+
+    ``symbols`` follows the rule of :class:`Text`: a read-only copy, uint8
+    when every code is in 0..255 and int64 otherwise.
+    """
 
     symbols: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", _frozen_array(self.symbols))
+        object.__setattr__(self, "symbols", _frozen_codes(self.symbols))
         if self.m < 1:
             raise DomainError("pattern must contain at least one symbol")
 
@@ -96,24 +118,32 @@ class Pattern:
 
     @classmethod
     def from_codes(cls, codes) -> "Pattern":
-        return cls(np.asarray(codes, dtype=np.int64))
+        return cls(codes)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Pattern":
         if not data:
             raise DomainError("empty pattern")
-        return cls.from_codes(np.frombuffer(data, dtype=np.uint8).astype(np.int64))
+        return cls(np.frombuffer(data, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
 class SymbolIndicator:
-    """Membership bitvector of one symbol: bit i is set iff text[i] == symbol."""
+    """Membership bitvector of one symbol: bit i is set iff text[i] == symbol.
+
+    ``bits`` is a read-only uint8 array.  One that already is read-only uint8
+    is kept as it is, not copied.
+    """
 
     symbol: int
     bits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", _frozen_array(self.bits, dtype=np.uint8))
+        bits = self.bits
+        if not (isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and not bits.flags.writeable):
+            bits = np.array(bits, dtype=np.uint8)
+            bits.setflags(write=False)
+            object.__setattr__(self, "bits", bits)
 
 
 @dataclass(frozen=True)
@@ -150,9 +180,11 @@ class OracleIndex:
             raise DomainError(f"index document is not JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise DomainError("index document must be a JSON object")
-        if payload.get("version") != INDEX_FORMAT_VERSION:
-            raise DomainError(f"unsupported index format version: {payload.get('version')!r}")
-        if not isinstance(payload.get("n"), int) or not isinstance(payload.get("indicators"), dict):
+        # type(...) is int: a JSON boolean is a Python int too, and True == 1.
+        version = payload.get("version")
+        if type(version) is not int or version != INDEX_FORMAT_VERSION:
+            raise DomainError(f"unsupported index format version: {version!r}")
+        if type(payload.get("n")) is not int or not isinstance(payload.get("indicators"), dict):
             raise DomainError("index document needs an integer 'n' and an 'indicators' object")
         n = payload["n"]
         if n < 1:
@@ -174,7 +206,8 @@ class OracleIndex:
             covered += ind.bits
         if (covered > 1).any():
             raise DomainError(f"position {int(np.argmax(covered > 1))} is set in two indicators")
-        if payload.get("alphabet") != sorted(indicators):
+        alphabet = payload.get("alphabet")
+        if alphabet != sorted(indicators) or any(type(a) is not int for a in alphabet):
             raise DomainError("alphabet does not match the indicator symbols")
         return cls(n, indicators)
 
@@ -192,10 +225,12 @@ def build_index(text: Text) -> OracleIndex:
 
     Sentinel padding positions belong to no indicator.
     """
-    indicators = {
-        int(sym): SymbolIndicator(int(sym), (text.symbols == sym).astype(np.uint8))
-        for sym in sorted(text.alphabet)
-    }
+    symbols = text.symbols
+    indicators = {}
+    for sym in sorted(int(s) for s in text.alphabet):
+        hits = np.equal(symbols, sym) if _holds(symbols, sym) else np.zeros(text.n, dtype=bool)
+        hits.setflags(write=False)
+        indicators[sym] = SymbolIndicator(sym, hits.view(np.uint8))
     return OracleIndex(text.n, indicators)
 
 
@@ -217,13 +252,21 @@ def hamming_score(text: Text, pattern: Pattern, offset: int) -> int:
 
 
 def closest_match_classical(text: Text, pattern: Pattern) -> ClassicalMatchResult:
-    """Scan all offsets and return the maximal score with its full tie set."""
+    """Scan all offsets and return the maximal score with its full tie set.
+
+    Scores are counted in the narrowest unsigned type that holds M (uint8 for
+    M <= 255), one reused bool buffer of matches at a time.
+    """
     n, m = text.n, pattern.m
     if m > n:
         raise DomainError(f"pattern length {m} exceeds text length {n}")
-    scores = np.zeros(n - m + 1, dtype=np.int64)
-    for j in range(m):
-        scores += text.symbols[j : j + n - m + 1] == pattern.symbols[j]
+    span = n - m + 1
+    scores = np.zeros(span, dtype=np.min_scalar_type(m))
+    hits = np.empty(span, dtype=bool)
+    for j, code in enumerate(pattern.symbols.tolist()):
+        if _holds(text.symbols, code):
+            np.equal(text.symbols[j : j + span], code, out=hits)
+            scores += hits.view(np.uint8)
     best = int(scores.max())
     offsets = tuple(int(o) for o in np.flatnonzero(scores == best))
     return ClassicalMatchResult(best, offsets)

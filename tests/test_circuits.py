@@ -78,6 +78,14 @@ class TestLiftBoolean:
         for x in range(4):
             assert p(x) == (f[x] << 2) | x
 
+    def test_rejects_values_that_are_not_bits(self):
+        with pytest.raises(DomainError, match="bits"):
+            lift_boolean([0.7, 1.2], 1)
+
+    def test_rejects_table_shorter_than_two_to_the_n(self):
+        with pytest.raises(DomainError, match="entries"):
+            lift_boolean([1], 2)
+
 
 class TestPermutationToTranspositions:
     def test_identity_empty(self):

@@ -1,4 +1,4 @@
-"""Property tests for the circuits text format, synthesis and the index JSON boundary.
+"""Property tests for the circuits text format, synthesis, the text layer and the index JSON boundary.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 """
@@ -6,6 +6,7 @@ Examples are derandomized and bounded, so every run checks the same inputs.
 import base64
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,13 @@ from qpmatch import (
     DomainError,
     Gate,
     OracleIndex,
+    Pattern,
     Permutation,
+    Text,
+    build_index,
+    closest_match_classical,
     emit_circuit,
+    pad_to_power_of_two,
     parse_circuit,
     permutation_action,
     synth_permutation,
@@ -94,3 +100,81 @@ def test_index_document_loads_or_raises_domain_error(document):
         OracleIndex.from_json(document)
     except DomainError:
         pass
+
+
+# Code pools: byte codes (uint8 texts), and codes outside 0..255 (int64 texts).
+code_pools = st.sampled_from([(0, 1, 2), (97, 98, 255), (0, 255, 300), (-5, 0, 7), (2**40, 3)])
+
+
+@st.composite
+def scans(draw):
+    """A text over one pool and a pattern that may also hold 300 and -1, which a uint8 text cannot."""
+    pool = draw(code_pools)
+    text = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    m = draw(st.integers(1, len(text)))
+    pattern = draw(st.lists(st.sampled_from(pool + (300, -1)), min_size=m, max_size=m))
+    return text, pattern
+
+
+@st.composite
+def long_scans(draw):
+    """M > 255: a window of a binary text with a few symbols flipped, so the best score is above 255."""
+    text = draw(st.lists(st.sampled_from((0, 1)), min_size=256, max_size=320))
+    m = draw(st.integers(256, len(text)))
+    offset = draw(st.integers(0, len(text) - m))
+    pattern = text[offset : offset + m]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=4)):
+        pattern[i] ^= 1
+    return text, pattern
+
+
+def _brute_force_match(text, pattern):
+    m = len(pattern)
+    scores = [sum(a == b for a, b in zip(text[o : o + m], pattern)) for o in range(len(text) - m + 1)]
+    best = max(scores)
+    return best, tuple(o for o, score in enumerate(scores) if score == best)
+
+
+@bounded
+@given(scans() | long_scans())
+def test_classical_scan_equals_brute_force(case):
+    text, pattern = case
+    result = closest_match_classical(Text.from_codes(text), Pattern.from_codes(pattern))
+    assert (result.best_score, result.offsets) == _brute_force_match(text, pattern)
+
+
+@bounded
+@given(st.lists(st.integers(0, 255) | st.integers(-(2**40), 2**40), min_size=1, max_size=20))
+def test_codes_are_uint8_exactly_when_every_code_is_a_byte(codes):
+    expected = np.uint8 if all(0 <= c <= 255 for c in codes) else np.int64
+    for symbols in (Text.from_codes(codes).symbols, Pattern.from_codes(codes).symbols):
+        assert symbols.dtype == expected
+        assert symbols.tolist() == codes
+        assert not symbols.flags.writeable
+
+
+@bounded
+@given(st.lists(st.integers(0, 255), min_size=1, max_size=40))
+def test_index_of_an_alphabet_superset_zeroes_codes_the_text_cannot_hold(codes):
+    text = Text.from_codes(codes, alphabet=set(codes) | {300, 2**40})
+    index = build_index(text)
+    assert sorted(index.indicators) == sorted(text.alphabet)
+    for sym, ind in index.indicators.items():
+        assert ind.bits.dtype == np.uint8 and not ind.bits.flags.writeable
+        assert ind.bits.tolist() == [int(c == sym) for c in codes]
+    assert not index.indicators[300].bits.any() and not index.indicators[2**40].bits.any()
+
+
+@bounded
+@given(code_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)),
+       st.integers(0, 40))
+def test_index_json_round_trip(codes, m):
+    text = Text.from_codes(codes)
+    if m <= text.n:
+        text = pad_to_power_of_two(text, m)
+    index = build_index(text)
+    back = OracleIndex.from_json(index.to_json())
+    assert back.n == index.n
+    assert sorted(back.indicators) == sorted(index.indicators)
+    for sym, ind in index.indicators.items():
+        assert back.indicators[sym].bits.tolist() == ind.bits.tolist()

@@ -27,6 +27,28 @@ def P(s: str) -> Pattern:
     return Pattern.from_bytes(s.encode())
 
 
+class TestCodeDtype:
+    def test_bytes_stay_byte_wide(self):
+        assert T("abc").symbols.dtype == np.uint8
+        assert P("abc").symbols.dtype == np.uint8
+
+    def test_padded_text_is_int64(self):
+        padded = pad_to_power_of_two(T("abcab"), 2)
+        assert padded.symbols.dtype == np.int64
+        assert padded.symbols.tolist() == [97, 98, 99, 97, 98, SENTINEL]
+
+    def test_symbols_are_a_read_only_copy(self):
+        codes = np.array([1, 2, 3], dtype=np.uint8)
+        text = Text.from_codes(codes)
+        codes[0] = 9
+        assert text.symbols.tolist() == [1, 2, 3]
+        assert not text.symbols.flags.writeable
+
+    def test_alphabet_check_on_byte_codes(self):
+        with pytest.raises(DomainError, match="outside its alphabet"):
+            Text.from_codes([1, 2, 3], alphabet={1, 2, 300})
+
+
 class TestBuildIndex:
     def test_aba(self):
         idx = build_index(T("aba"))
@@ -228,6 +250,16 @@ class TestIndexSerialization:
     def test_rejects_alphabet_mismatch(self):
         payload = json.loads(build_index(T("aba")).to_json())
         payload["alphabet"] = [ord("a")]
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("field", ["version", "n", "alphabet"])
+    def test_rejects_boolean_where_an_integer_is_required(self, field):
+        payload = json.loads(build_index(T("a")).to_json())  # n = 1, alphabet [97]
+        assert OracleIndex.from_json(json.dumps(payload)).n == 1
+        payload[field] = [True] if field == "alphabet" else True
+        if field == "alphabet":
+            payload["indicators"] = {"1": payload["indicators"][str(ord("a"))]}
         with pytest.raises(DomainError):
             OracleIndex.from_json(json.dumps(payload))
 
