@@ -103,7 +103,7 @@ def apply_query_phase(state: TailEntangledState, j: int, indicator: SymbolIndica
     """
     if not 1 <= j <= state.m:
         raise DomainError(f"register index {j} out of range [1, {state.m}]")
-    if len(indicator.bits) != state.n:
+    if indicator.n != state.n:
         raise DomainError("indicator length does not match text length")
     signs = 1.0 - 2.0 * indicator.bits.astype(np.float64)
     if j == 1:

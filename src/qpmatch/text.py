@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,19 +132,35 @@ class Pattern:
 class SymbolIndicator:
     """Membership bitvector of one symbol: bit i is set iff text[i] == symbol.
 
-    ``bits`` is a read-only uint8 array.  One that already is read-only uint8
-    is kept as it is, not copied.
+    ``packed`` holds the n bits as ceil(n/8) read-only bytes in
+    ``np.packbits`` order, with the padding bits of the last byte zeroed.  One
+    that already is read-only uint8 with zero padding is kept, not copied.
     """
 
     symbol: int
-    bits: np.ndarray
+    packed: np.ndarray
+    n: int
 
     def __post_init__(self):
-        bits = self.bits
-        if not (isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and not bits.flags.writeable):
-            bits = np.array(bits, dtype=np.uint8)
-            bits.setflags(write=False)
-            object.__setattr__(self, "bits", bits)
+        packed = self.packed
+        if not (isinstance(packed, np.ndarray) and packed.dtype == np.uint8 and not packed.flags.writeable):
+            packed = np.array(packed, dtype=np.uint8)
+        nbytes = (self.n + 7) // 8
+        if packed.ndim != 1 or len(packed) != nbytes:
+            raise DomainError(f"indicator of symbol {self.symbol} has {packed.size} bytes, expected {nbytes}")
+        padding = -self.n % 8
+        if padding and packed[-1] & ((1 << padding) - 1):
+            packed = packed.copy()
+            packed[-1] &= 0xFF << padding & 0xFF
+        packed.setflags(write=False)
+        object.__setattr__(self, "packed", packed)
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """The n bits unpacked, one read-only uint8 per position; unpacked once, on first use."""
+        bits = np.unpackbits(self.packed, count=self.n)
+        bits.setflags(write=False)
+        return bits
 
 
 @dataclass(frozen=True)
@@ -157,20 +174,24 @@ class OracleIndex:
         """Indicator for ``symbol``; all-zero for symbols outside the alphabet."""
         ind = self.indicators.get(int(symbol))
         if ind is None:
-            ind = SymbolIndicator(int(symbol), np.zeros(self.n, dtype=np.uint8))
+            ind = SymbolIndicator(int(symbol), np.zeros((self.n + 7) // 8, dtype=np.uint8), self.n)
         return ind
 
     def to_json(self) -> str:
-        payload = {
-            "version": INDEX_FORMAT_VERSION,
-            "n": self.n,
-            "alphabet": sorted(self.indicators),
-            "indicators": {
-                str(sym): base64.b64encode(np.packbits(ind.bits).tobytes()).decode("ascii")
-                for sym, ind in sorted(self.indicators.items())
-            },
-        }
-        return json.dumps(payload, sort_keys=True)
+        """The index document, byte for byte what ``json.dumps(payload, sort_keys=True)`` writes.
+
+        The payload has the keys ``alphabet``, ``indicators`` (base64 of each
+        ``packed``, keyed by the symbol in decimal), ``n`` and ``version``.
+        Base64 needs no JSON escaping, so the document is joined from its
+        pieces instead of being scanned again by the encoder.
+        """
+        keys = sorted(str(sym) for sym in self.indicators)  # sort_keys orders them as strings
+        parts = ['{"alphabet": [', ", ".join(str(sym) for sym in sorted(self.indicators)), '], "indicators": {']
+        for i, key in enumerate(keys):
+            encoded = base64.b64encode(self.indicators[int(key)].packed).decode("ascii")
+            parts.append(f'{", " if i else ""}"{key}": "{encoded}"')
+        parts.append(f'}}, "n": {self.n}, "version": {INDEX_FORMAT_VERSION}}}')
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, document: str) -> "OracleIndex":
@@ -189,7 +210,6 @@ class OracleIndex:
         n = payload["n"]
         if n < 1:
             raise DomainError(f"index length n must be >= 1, got {n}")
-        nbytes = (n + 7) // 8
         indicators = {}
         for sym_str, encoded in payload["indicators"].items():
             try:
@@ -197,15 +217,19 @@ class OracleIndex:
                 packed = np.frombuffer(base64.b64decode(encoded, validate=True), dtype=np.uint8)
             except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
                 raise DomainError(f"malformed indicator entry {sym_str!r}: {exc}") from None
-            if len(packed) != nbytes:
-                raise DomainError(f"indicator of symbol {sym_str} has {len(packed)} bytes, expected {nbytes}")
-            indicators[symbol] = SymbolIndicator(symbol, np.unpackbits(packed)[:n])
+            # int() also reads "01", "+1", " 1" and "1_0"; two such keys would name one symbol.
+            if str(symbol) != sym_str:
+                raise DomainError(f"indicator key {sym_str!r} is not a symbol code in canonical decimal")
+            indicators[symbol] = SymbolIndicator(symbol, packed, n)
         # Size by n only once indicators exist: each holds ceil(n/8) bytes, so the document bounds n.
-        covered = np.zeros(n if indicators else 0, dtype=np.int64)
+        covered = np.zeros((n + 7) // 8 if indicators else 0, dtype=np.uint8)
+        twice = covered.copy()
         for ind in indicators.values():
-            covered += ind.bits
-        if (covered > 1).any():
-            raise DomainError(f"position {int(np.argmax(covered > 1))} is set in two indicators")
+            twice |= covered & ind.packed
+            covered |= ind.packed
+        if twice.any():
+            byte = int(np.flatnonzero(twice)[0])  # packbits order: the first position is the top set bit
+            raise DomainError(f"position {8 * byte + 8 - int(twice[byte]).bit_length()} is set in two indicators")
         alphabet = payload.get("alphabet")
         if alphabet != sorted(indicators) or any(type(a) is not int for a in alphabet):
             raise DomainError("alphabet does not match the indicator symbols")
@@ -226,11 +250,16 @@ def build_index(text: Text) -> OracleIndex:
     Sentinel padding positions belong to no indicator.
     """
     symbols = text.symbols
+    hits = np.zeros(text.n, dtype=bool)
     indicators = {}
     for sym in sorted(int(s) for s in text.alphabet):
-        hits = np.equal(symbols, sym) if _holds(symbols, sym) else np.zeros(text.n, dtype=bool)
-        hits.setflags(write=False)
-        indicators[sym] = SymbolIndicator(sym, hits.view(np.uint8))
+        if _holds(symbols, sym):
+            np.equal(symbols, sym, out=hits)
+        else:
+            hits[:] = False
+        packed = np.packbits(hits)
+        packed.setflags(write=False)
+        indicators[sym] = SymbolIndicator(sym, packed, text.n)
     return OracleIndex(text.n, indicators)
 
 

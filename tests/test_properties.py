@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmatch import (
+    SENTINEL,
     Circuit,
     DomainError,
     Gate,
@@ -177,4 +178,45 @@ def test_index_json_round_trip(codes, m):
     assert back.n == index.n
     assert sorted(back.indicators) == sorted(index.indicators)
     for sym, ind in index.indicators.items():
+        assert back.indicators[sym].bits.tolist() == ind.bits.tolist()
+
+
+def _index_json_by_dumps(text):
+    """The index document as it was written before indicators were held packed: one json.dumps."""
+    symbols = text.symbols.astype(np.int64)
+    payload = {
+        "version": 1,
+        "n": text.n,
+        "alphabet": sorted(text.alphabet),
+        "indicators": {
+            str(s): base64.b64encode(np.packbits(symbols == s).tobytes()).decode("ascii")
+            for s in sorted(text.alphabet)
+        },
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+# Byte codes, int64 codes from 256 up to 2**40, and negative codes other than the sentinel.
+symbol_codes = st.integers(0, 255) | st.integers(256, 2**40) | st.just(2**40) | st.integers(-(2**40), SENTINEL - 1)
+
+
+@st.composite
+def indexed_texts(draw):
+    """A text over a few drawn codes, with an alphabet that may hold more, sometimes sentinel-padded."""
+    alphabet = draw(st.lists(symbol_codes, min_size=1, max_size=6, unique=True))
+    codes = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=70))
+    text = Text.from_codes(codes, alphabet=alphabet)
+    m = draw(st.integers(0, len(codes)))
+    return pad_to_power_of_two(text, m) if m else text
+
+
+@bounded
+@given(indexed_texts())
+def test_index_document_is_what_json_dumps_wrote(text):
+    index = build_index(text)
+    assert index.to_json() == _index_json_by_dumps(text)
+    back = OracleIndex.from_json(index.to_json())
+    assert sorted(back.indicators) == sorted(index.indicators)
+    for sym, ind in index.indicators.items():
+        assert back.indicators[sym].packed.tobytes() == ind.packed.tobytes()
         assert back.indicators[sym].bits.tolist() == ind.bits.tolist()

@@ -66,14 +66,16 @@ class TestInitState:
 class TestQueryPhase:
     def test_all_zero_indicator_is_identity(self):
         state = init_state(5, 2)
-        ind = SymbolIndicator(0, np.zeros(5, dtype=np.uint8))
+        bits = np.zeros(5, dtype=np.uint8)
+        ind = SymbolIndicator(0, np.packbits(bits), len(bits))
         out = apply_query_phase(state, 1, ind)
         assert np.array_equal(out.amps, state.amps)
 
     def test_involution(self):
         rng = np.random.default_rng(0)
         state = random_state(6, 3, rng)
-        ind = SymbolIndicator(0, rng.integers(0, 2, size=6).astype(np.uint8))
+        bits = rng.integers(0, 2, size=6).astype(np.uint8)
+        ind = SymbolIndicator(0, np.packbits(bits), len(bits))
         for j in (1, 2, 3):
             twice = apply_query_phase(apply_query_phase(state, j, ind), j, ind)
             assert np.array_equal(twice.amps, state.amps)
@@ -82,7 +84,8 @@ class TestQueryPhase:
         # N=4, M=2: symbol present only at position 2, queried at register 2.
         # Tail k=1 holds position 2, so only entry (1, 1) of psi0 flips.
         state = init_state(4, 2)
-        ind = SymbolIndicator(0, np.array([0, 0, 1, 0], dtype=np.uint8))
+        bits = np.array([0, 0, 1, 0], dtype=np.uint8)
+        ind = SymbolIndicator(0, np.packbits(bits), len(bits))
         out = apply_query_phase(state, 2, ind)
         expected = state.amps.copy()
         expected[1, 1] *= -1
@@ -90,14 +93,16 @@ class TestQueryPhase:
 
     def test_register_out_of_range(self):
         state = init_state(4, 2)
-        ind = SymbolIndicator(0, np.zeros(4, dtype=np.uint8))
+        bits = np.zeros(4, dtype=np.uint8)
+        ind = SymbolIndicator(0, np.packbits(bits), len(bits))
         with pytest.raises(DomainError):
             apply_query_phase(state, 3, ind)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(1)
         state = random_state(7, 3, rng)
-        ind = SymbolIndicator(0, rng.integers(0, 2, size=7).astype(np.uint8))
+        bits = rng.integers(0, 2, size=7).astype(np.uint8)
+        ind = SymbolIndicator(0, np.packbits(bits), len(bits))
         out = apply_query_phase(state, 2, ind)
         assert abs(out.norm_sq() - 1) < 1e-10
 

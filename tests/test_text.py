@@ -1,3 +1,4 @@
+import base64
 import json
 import tracemalloc
 
@@ -9,6 +10,7 @@ from qpmatch import (
     DomainError,
     OracleIndex,
     Pattern,
+    SymbolIndicator,
     Text,
     build_index,
     closest_match_classical,
@@ -246,6 +248,53 @@ class TestIndexSerialization:
         payload["indicators"][b] = payload["indicators"][a]
         with pytest.raises(DomainError):
             OracleIndex.from_json(json.dumps(payload))
+
+    def test_overlap_error_names_the_first_position_set_twice(self):
+        # Symbol 1 holds positions 9 and 12; symbol 2 repeats 12 before symbol 3 repeats 9.
+        def b64(*byte_values):
+            return base64.b64encode(bytes(byte_values)).decode("ascii")
+
+        indicators = {"1": b64(0, 0x48), "2": b64(0, 0x08), "3": b64(0, 0x40)}
+        document = {"version": 1, "n": 16, "alphabet": [1, 2, 3], "indicators": indicators}
+        with pytest.raises(DomainError, match="^position 9 is set in two indicators$"):
+            OracleIndex.from_json(json.dumps(document))
+
+    @pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1"])
+    def test_rejects_indicator_key_not_in_canonical_decimal(self, key):
+        document = {"version": 1, "n": 2, "alphabet": [int(key)], "indicators": {key: "gA=="}}
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(json.dumps(document))
+
+    def test_rejects_two_keys_for_one_symbol(self):
+        document = '{"version":1,"n":2,"alphabet":[1],"indicators":{"1":"gA==","01":"QA=="}}'
+        with pytest.raises(DomainError):
+            OracleIndex.from_json(document)
+
+    def test_padding_bits_are_ignored_on_load_and_zero_on_write(self):
+        # n = 3: the low five bits of each indicator's one byte are padding.
+        payload = json.loads(build_index(T("aba")).to_json())
+        payload["indicators"] = {"97": "vw==", "98": "Xw=="}  # 0xBF and 0x5F: bits 101 and 010, padding set
+        back = OracleIndex.from_json(json.dumps(payload))
+        assert back.indicators[97].bits.tolist() == [1, 0, 1]
+        assert back.to_json() == build_index(T("aba")).to_json()
+
+    @pytest.mark.parametrize("nbytes", [0, 1, 3])
+    def test_indicator_of_wrong_byte_length_is_rejected(self, nbytes):
+        with pytest.raises(DomainError):
+            SymbolIndicator(0, np.zeros(nbytes, dtype=np.uint8), 9)
+
+    def test_index_document_peak_memory(self):
+        # 95 symbols over 256 KiB: 3 MiB of packed indicators and a 4.15 MB document.
+        data = np.random.default_rng(0).integers(32, 127, size=256 * 1024, dtype=np.uint8).tobytes()
+        text = Text.from_bytes(data)
+        assert len(text.alphabet) == 95
+        tracemalloc.start()
+        try:
+            build_index(text).to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_rejects_alphabet_mismatch(self):
         payload = json.loads(build_index(T("aba")).to_json())
