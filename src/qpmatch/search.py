@@ -155,28 +155,92 @@ def _state_buffer(n: int, m: int) -> np.ndarray:
     return np.empty((n, k), dtype=np.complex128 if k == 1 else np.float64)
 
 
-def _schedule_probabilities(amps: np.ndarray, j_choices, signs: np.ndarray) -> np.ndarray:
-    """``measure_first_register(_evolve(...)).probabilities``, bit for bit.
+def _visit_order(keys) -> list:
+    """The distinct reduced schedules ``keys`` in the order of a depth-first walk of their trie.
 
-    ``amps`` is overwritten.  The j >= 2 queries are skipped: each negates
-    whole columns exactly, the diffusion of a negated column is the exact
-    negation of its diffusion (IEEE rounding is symmetric under sign), and
-    |amp|^2 drops the sign.
+    At each node the schedule ending there comes first, then the child subtree
+    holding fewer schedules, and the larger one last.
+    """
+    order = []
+    stack = [(list(keys), 0)]
+    while stack:
+        group, depth = stack.pop()
+        if len(group) == 1:
+            order.append(group[0])
+            continue
+        children = ([], [])
+        for key in group:
+            if len(key) == depth:
+                order.append(key)
+            else:
+                children[key[depth]].append(key)
+        # The stack is last-in first-out: push the larger subtree first.
+        for child in sorted(children, key=len, reverse=True):
+            if child:
+                stack.append((child, depth + 1))
+    return order
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    length = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        length += 1
+    return length
+
+
+def _walk_schedules(amps: np.ndarray, keys, in_t: np.ndarray) -> dict:
+    """``measure_first_register(_evolve(...)).probabilities`` of each reduced schedule, bit for bit.
+
+    A reduced schedule is the tuple of ``j == 1`` flags of a schedule's steps:
+    the j >= 2 queries are skipped, because each negates whole columns
+    exactly, the diffusion of a negated column is the exact negation of its
+    diffusion (IEEE rounding is symmetric under sign), and |amp|^2 drops the
+    sign.  ``keys`` are distinct reduced schedules; ``in_t`` marks the
+    positions of the pattern's first symbol.
+
+    Each step of a prefix that several of ``keys`` share runs once.  One
+    checkpoint buffer holds the state of the deepest prefix that still has a
+    branch left to run; a branch whose prefix the checkpoint does not hold is
+    replayed from the initial state, so no schedule costs more steps than its
+    own evolution.  ``amps`` is overwritten.
     """
     n, k = amps.shape
-    amps.fill(0.0)
-    np.fill_diagonal(amps, 1.0 / np.sqrt(k))
+    flip = in_t[:, None]
     # complex128 mean() multiplies by 1/N; float64 mean() would divide by N
     inv_n = 1.0 / n
-    for j in j_choices:
-        if j == 1:
-            amps *= signs[:, None]
-        mu = amps.sum(axis=0) * inv_n
-        np.subtract(2.0 * mu, amps, out=amps)
-    # The imaginary part is always +-0, so |amp|^2 == re*re exactly.
-    re = amps.real
-    np.square(re, out=re)
-    return re.sum(axis=1)
+    may_checkpoint = 2 * 8 * n * k <= STATE_BYTES_LIMIT
+    checkpoint, held = None, None
+    order = _visit_order(keys)
+    distributions = {}
+    for i, key in enumerate(order):
+        branch = _common_prefix(key, order[i + 1]) if i + 1 < len(order) else -1
+        if held is not None and key[: len(held)] == held:
+            np.copyto(amps, checkpoint)
+            depth = len(held)
+        else:
+            amps.fill(0.0)
+            np.fill_diagonal(amps, 1.0 / np.sqrt(k))
+            depth = 0
+        while True:
+            if depth == branch and may_checkpoint and held != key[:depth]:
+                if checkpoint is None:
+                    checkpoint = np.empty_like(amps)
+                np.copyto(checkpoint, amps)
+                held = key[:depth]
+            if depth == len(key):
+                break
+            if key[depth]:
+                np.negative(amps, out=amps, where=flip)
+            mu = amps.sum(axis=0) * inv_n
+            np.subtract(2.0 * mu, amps, out=amps)
+            depth += 1
+        # The imaginary part is always +-0, so |amp|^2 == re*re exactly.
+        re = amps.real
+        np.square(re, out=re)
+        distributions[key] = re.sum(axis=1)
+    return distributions
 
 
 def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, config: RunConfig) -> MatchDistribution:
@@ -187,24 +251,37 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     standard error of the trial mean.  The same trials also sample one
     measured position each, as :func:`run_once` does, and the fraction landing
     in the classical tie set is attached as ``success``.
+
+    Trials run in blocks of K = N - M + 1: a block's schedules are drawn
+    first, each distinct reduced schedule is evolved once by
+    :func:`_walk_schedules`, and the sums and success draws then follow in
+    trial order.  A block's distributions take at most the state's N*K floats.
     """
     if pattern.m > text.n:
         raise DomainError("pattern longer than text")
     n, m = text.n, pattern.m
     amps = _state_buffer(n, m)
-    signs = 1.0 - 2.0 * index.indicator_for(int(pattern.symbols[0])).bits.astype(np.float64)
+    k = amps.shape[1]
+    in_t = index.indicator_for(int(pattern.symbols[0])).bits.view(bool)
     is_tie = np.zeros(n, dtype=bool)
     is_tie[list(closest_match_classical(text, pattern).offsets)] = True
     acc = np.zeros(n)
     acc_sq = np.zeros(n)
     successes = 0
-    for trial in range(config.trials):
-        rng = trial_rng(config.seed, trial)
-        schedule = draw_schedule(rng, n, m, config.r_mode, config.j_mode)
-        probs = _schedule_probabilities(amps, schedule.j_choices, signs)
-        acc += probs
-        acc_sq += probs * probs
-        successes += bool(is_tie[rng.choice(n, p=probs / probs.sum())])
+    for start in range(0, config.trials, k):
+        rngs, keys = [], []
+        for trial in range(start, min(start + k, config.trials)):
+            rng = trial_rng(config.seed, trial)
+            schedule = draw_schedule(rng, n, m, config.r_mode, config.j_mode)
+            rngs.append(rng)
+            keys.append(tuple(j == 1 for j in schedule.j_choices))
+        distributions = _walk_schedules(amps, dict.fromkeys(keys), in_t)
+        for rng, key in zip(rngs, keys):
+            probs = distributions[key]
+            acc += probs
+            acc_sq += probs * probs
+            successes += bool(is_tie[rng.choice(n, p=probs / probs.sum())])
+        del distributions  # before the next block's walk stores its own
     mean = acc / config.trials
     var = np.maximum(acc_sq / config.trials - mean**2, 0.0)
     stderr = np.sqrt(var / config.trials)

@@ -34,6 +34,16 @@ def _frozen_codes(values) -> np.ndarray:
     return frozen
 
 
+def _unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: plain ``json.loads`` keeps the last of two equal keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DomainError(f"index document repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _holds(symbols: np.ndarray, code: int) -> bool:
     """Whether the dtype of ``symbols`` can hold ``code``; a code it cannot hold occurs nowhere."""
     info = np.iinfo(symbols.dtype)
@@ -196,7 +206,9 @@ class OracleIndex:
     @classmethod
     def from_json(cls, document: str) -> "OracleIndex":
         try:
-            payload = json.loads(document)
+            payload = json.loads(document, object_pairs_hook=_unique_keys)
+        except DomainError:
+            raise
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, an over-long int, deep nesting
             raise DomainError(f"index document is not JSON: {exc}") from None
         if not isinstance(payload, dict):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from qpmatch import (
     success_probability,
     wilson_interval,
 )
-from qpmatch.search import _evolve, _schedule_probabilities, _state_buffer, trial_rng
+from qpmatch import search
+from qpmatch.search import GroverSchedule, _evolve, _state_buffer, _walk_schedules, trial_rng
 
 AMPLIFICATION_XFAIL = (
     "diffusion on the first register only cannot amplify matched windows; "
@@ -215,8 +218,20 @@ def _edge_instances():
 SCHEDULE_MODES = [("random", "random"), ("random", "cycle"), (0, "random"), (7, "random"), (5, "cycle")]
 
 
+def _reduced(schedule):
+    return tuple(j == 1 for j in schedule.j_choices)
+
+
+def _first_symbol_positions(pattern, idx):
+    return idx.indicator_for(int(pattern.symbols[0])).bits.view(bool)
+
+
+def _expected(n, m, schedule, pattern, idx):
+    return measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
+
+
 class TestFusedTrialLoop:
-    """The fused loop must reproduce the dense complex reference bit for bit.
+    """The prefix-shared walk must reproduce the dense complex reference bit for bit.
 
     Two rounding traps make ``allclose`` the wrong check: a float64 ``mean``
     divides by N where the complex128 one multiplies by 1/N, and at K = 1
@@ -230,14 +245,35 @@ class TestFusedTrialLoop:
         for label, text, pattern, idx in _edge_instances():
             n, m = text.n, pattern.m
             amps = _state_buffer(n, m)
-            signs = 1.0 - 2.0 * idx.indicator_for(int(pattern.symbols[0])).bits.astype(np.float64)
-            for trial in range(8):
-                schedule = draw_schedule(trial_rng(3, trial), n, m, r_mode, j_mode)
-                expected = measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
-                got = _schedule_probabilities(amps, schedule.j_choices, signs)
-                assert np.array_equal(got, expected), (label, schedule)
+            in_t = _first_symbol_positions(pattern, idx)
+            schedules = [draw_schedule(trial_rng(3, trial), n, m, r_mode, j_mode) for trial in range(8)]
+            together = _walk_schedules(amps, dict.fromkeys(map(_reduced, schedules)), in_t)
+            for schedule in schedules:
+                expected = _expected(n, m, schedule, pattern, idx)
+                alone = _walk_schedules(amps, [_reduced(schedule)], in_t)
+                assert np.array_equal(together[_reduced(schedule)], expected), (label, schedule)
+                assert np.array_equal(alone[_reduced(schedule)], expected), (label, schedule)
 
-    @pytest.mark.parametrize("r_mode, j_mode", [("random", "random"), (4, "cycle")])
+    def test_walk_shapes(self):
+        # Duplicates, a schedule that is a prefix of others, r = 0 alone and
+        # in company, and keys whose j >= 2 steps use different registers.
+        keys = [(), (True,), (True, False), (True, False), (True, False, True, True),
+                (False, False, False), (True, False, True), (False,), (True, True, False)]
+        for label, text, pattern, idx in _edge_instances():
+            n, m = text.n, pattern.m
+            if m < 2:
+                continue
+            amps = _state_buffer(n, m)
+            in_t = _first_symbol_positions(pattern, idx)
+            for group in (keys, [()], keys[::-1]):
+                got = _walk_schedules(amps, dict.fromkeys(group), in_t)
+                assert set(got) == set(group), label
+                for key in group:
+                    js = tuple(1 if flag else 2 + t % (m - 1) for t, flag in enumerate(key))
+                    expected = _expected(n, m, GroverSchedule(len(js), js), pattern, idx)
+                    assert np.array_equal(got[key], expected), (label, key)
+
+    @pytest.mark.parametrize("r_mode, j_mode", [("random", "random"), (4, "cycle"), ("random", "cycle"), (6, "random")])
     def test_loop_matches_separate_replays(self, r_mode, j_mode):
         # The loop used to be two: one averaging distributions, one sampling
         # run_once.  Its mean, stderr and success count must equal theirs.
@@ -264,3 +300,27 @@ class TestFusedTrialLoop:
             assert dist.success == success_probability(
                 text, pattern, idx, trials, seed, r_mode=r_mode, j_mode=j_mode
             )
+
+    def test_same_bytes_without_checkpoint(self, monkeypatch):
+        # Between 8*N*K and 16*N*K bytes the state fits but its checkpoint does not.
+        text, pattern, idx = planted_instance(256, 4, 200, seed=0)
+        config = RunConfig(trials=300, seed=8)
+        with_checkpoint = estimate_distribution(text, pattern, idx, config)
+        monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 12 * 256 * 253)
+        without = estimate_distribution(text, pattern, idx, config)
+        assert with_checkpoint.probabilities.tobytes() == without.probabilities.tobytes()
+        assert with_checkpoint.stderr.tobytes() == without.stderr.tobytes()
+        assert with_checkpoint.success == without.success
+
+    def test_peak_memory_is_a_few_states(self):
+        # One state buffer, one checkpoint and at most K stored distributions;
+        # a buffer per schedule depth would take up to 17 states here.
+        text, pattern, idx = planted_instance(256, 4, 200, seed=0)
+        state_bytes = 8 * 256 * 253
+        tracemalloc.start()
+        try:
+            estimate_distribution(text, pattern, idx, RunConfig(trials=64, seed=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * state_bytes

@@ -270,6 +270,16 @@ class TestIndexSerialization:
         with pytest.raises(DomainError):
             OracleIndex.from_json(document)
 
+    def test_rejects_repeated_indicator_key(self):
+        document = '{"version":1,"n":2,"alphabet":[1],"indicators":{"1":"gA==","1":"QA=="}}'
+        with pytest.raises(DomainError, match="repeats the key '1'"):
+            OracleIndex.from_json(document)
+
+    def test_rejects_repeated_top_level_key(self):
+        document = '{"version":1,"n":2,"n":3,"alphabet":[1],"indicators":{"1":"gA=="}}'
+        with pytest.raises(DomainError, match="repeats the key 'n'"):
+            OracleIndex.from_json(document)
+
     def test_padding_bits_are_ignored_on_load_and_zero_on_write(self):
         # n = 3: the low five bits of each indicator's one byte are padding.
         payload = json.loads(build_index(T("aba")).to_json())
