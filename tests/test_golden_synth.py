@@ -6,6 +6,9 @@ to an output byte fails here.
 
 - ``<case>.stdout`` holds the stdout of one ``synth`` or ``scaling-report``
   command; ``transposition16.circ`` is the circuit that command emits.
+- ``init_s4_m5.statevector.sha256`` holds the sha256 of the bytes of
+  ``simulate_statevector`` on the 20-qubit s=4/M=5 init-state circuit, the
+  largest state any command builds.
 - ``kernels.json`` holds seeded random {H, X, MCX} circuits with mixed
   control polarities, in the text format, and the sha256 of the bytes of
   ``simulate_statevector(c, x)``, of ``simulate_unitary(c)`` and of
@@ -35,6 +38,7 @@ from qpmatch import (
     permutation_action,
     simulate_statevector,
     simulate_unitary,
+    synth_init_state_circuit,
 )
 from qpmatch.cli import main
 
@@ -48,6 +52,8 @@ CASES = {
     "oracle300": ["synth", "oracle", "--text", ORACLE_TEXT, "--symbol", "G", "--verify"],
     "init_s3_m3": ["synth", "init-state", "--s", "3", "--m", "3", "--verify"],
     "init_s4_m5": ["synth", "init-state", "--s", "4", "--m", "5", "--verify"],
+    "init_s3_m6": ["synth", "init-state", "--s", "3", "--m", "6", "--verify"],
+    "init_s2_m8": ["synth", "init-state", "--s", "2", "--m", "8", "--verify"],
     "transposition16": ["synth", "transposition", "--width", "16", "--a", "12345", "--b", "54321",
                         "--verify", "--emit", "transposition16.circ"],
     "scaling_report": ["scaling-report", "--n-min", "3", "--n-max", "10", "--seed", "4"],
@@ -55,6 +61,7 @@ CASES = {
 EMITTED = {"transposition16": "transposition16.circ"}
 
 KERNEL_CIRCUITS = 60
+STATEVECTOR_PIN = "init_s4_m5.statevector.sha256"
 
 
 def _sha(data: bytes) -> str:
@@ -119,6 +126,14 @@ def test_kernel_outputs_match_golden():
         assert digests == {key: record[key] for key in digests}, record["circuit"]
 
 
+def _init_state_digest() -> str:
+    return _sha(simulate_statevector(synth_init_state_circuit(4, 5), 0).tobytes())
+
+
+def test_init_state_statevector_matches_golden():
+    assert _init_state_digest() == (GOLDEN / STATEVECTOR_PIN).read_text().strip()
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     os.chdir(GOLDEN)
@@ -130,6 +145,7 @@ def _regenerate() -> None:
             raise SystemExit(f"{name} exited with {code}")
         Path(f"{name}.stdout").write_text(buf.getvalue())
     Path("kernels.json").write_text(json.dumps(_kernel_records(), indent=1) + "\n")
+    Path(STATEVECTOR_PIN).write_text(_init_state_digest() + "\n")
 
 
 if __name__ == "__main__":
