@@ -32,6 +32,7 @@ UNITARY_QUBIT_LIMIT = 12
 STATEVECTOR_QUBIT_LIMIT = 20
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -73,24 +74,40 @@ class GrayCodePath:
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
-    """A bijection over [0, 2^width) given by its image table."""
+    """A bijection over [0, 2^width) given by its image table, a read-only int64 array.
 
-    images: tuple
+    Equal tables compare equal; a permutation is not hashable.
+    """
+
+    images: np.ndarray
 
     def __post_init__(self):
-        images = np.asarray(self.images, dtype=np.int64)
-        object.__setattr__(self, "images", tuple(images.tolist()))
-        if not np.array_equal(np.sort(images), np.arange(len(images))):
+        images = np.array(self.images, dtype=np.int64)
+        images.flags.writeable = False
+        object.__setattr__(self, "images", images)
+        size = images.size
+        if images.ndim != 1 or (size and (images.min() < 0 or images.max() >= size)):
             raise DomainError("image table is not a bijection")
+        hit = np.zeros(size, dtype=bool)
+        hit[images] = True
+        if not hit.all():
+            raise DomainError("image table is not a bijection")
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
+        return np.array_equal(self.images, other.images)
 
     @property
     def size(self) -> int:
         return len(self.images)
 
     def __call__(self, x: int) -> int:
-        return self.images[x]
+        return int(self.images[x])
 
 
 @dataclass(frozen=True)
@@ -196,19 +213,20 @@ def permutation_to_transpositions(p: Permutation):
     Each cycle (c0 c1 ... cm) is emitted as (c0 cm)(c0 c(m-1)) ... (c0 c1),
     read as an operator product.
     """
+    images = p.images.tolist()
     seen = [False] * p.size
     out = []
     for start in range(p.size):
-        if seen[start] or p(start) == start:
+        if seen[start] or images[start] == start:
             seen[start] = True
             continue
         cycle = [start]
         seen[start] = True
-        cur = p(start)
+        cur = images[start]
         while cur != start:
             cycle.append(cur)
             seen[cur] = True
-            cur = p(cur)
+            cur = images[cur]
         for elem in reversed(cycle[1:]):
             out.append(Transposition(cycle[0], elem))
     return out
@@ -336,7 +354,7 @@ def init_state_target(s: int, m: int) -> np.ndarray:
 # --- dense simulation ---
 
 
-def _apply_gates(state: np.ndarray, gates, n: int) -> None:
+def _apply_gates(state: np.ndarray, gates, n: int, basis_input: int | None = None) -> None:
     """Apply ``gates`` in order, in place; ``state`` has shape (2^n,) or (2^n, batch).
 
     The state is viewed as one axis per qubit (qubit 0 first), so a gate's
@@ -344,11 +362,38 @@ def _apply_gates(state: np.ndarray, gates, n: int) -> None:
     target to 0 (``low``) or 1 (``high``).  The trailing ``Ellipsis`` keeps a
     fully indexed half a 0-d view instead of a copied scalar.  Hadamards
     round exactly like ``(a + b) * _SQRT_HALF`` and ``(a - b) * _SQRT_HALF``.
+
+    Given ``basis_input``, the state must be that basis state, and the kernel
+    tracks which qubits still hold one known bit: every amplitude with such a
+    qubit at the other bit is +0, so each tracked qubit's axis is fixed to its
+    bit and only the live subspace is touched.  A gate with a tracked control
+    of the wrong polarity is skipped.  An X or MCX whose controls are all
+    tracked flips its tracked target's bit; an H, or an MCX with an untracked
+    control, untracks its target.  The full sweep maps a pair of +0 to a pair
+    of +0 and applies the same float operations to every live amplitude, so
+    the output bytes are those of the full sweep, signed zeros included.
     """
     view = state.reshape((2,) * n + state.shape[1:])
     scratch = np.empty(state.size // 2, dtype=state.dtype)
+    # live[q] indexes qubit q's axis: its bit while tracked, else every value.
+    live = [_ALL] * n
+    n_tracked = 0
+    if basis_input is not None:
+        live = [(basis_input >> (n - 1 - q)) & 1 for q in range(n)]
+        n_tracked = n
     for gate in gates:
-        index = [slice(None)] * n
+        if n_tracked:
+            untracks = gate.kind == HADAMARD
+            skip = False
+            for q, positive in gate.controls:
+                if live[q] is _ALL:
+                    untracks = True
+                elif live[q] != positive:
+                    skip = True  # an identity on the live subspace
+                    break
+            if skip:
+                continue
+        index = live.copy()
         for q, positive in gate.controls:
             index[q] = int(positive)
         index[gate.target] = 0
@@ -365,6 +410,12 @@ def _apply_gates(state: np.ndarray, gates, n: int) -> None:
         else:
             np.copyto(low, high)
             np.copyto(high, tmp)
+        if n_tracked and live[gate.target] is not _ALL:
+            if untracks:
+                live[gate.target] = _ALL
+                n_tracked -= 1
+            else:
+                live[gate.target] ^= 1
 
 
 def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
@@ -380,7 +431,7 @@ def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
         raise DomainError("basis input out of range")
     state = np.zeros(2**n)
     state[basis_input] = 1.0
-    _apply_gates(state, circuit.gates, n)
+    _apply_gates(state, circuit.gates, n, basis_input)
     return state.astype(np.complex128)
 
 

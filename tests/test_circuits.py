@@ -59,11 +59,11 @@ class TestGrayCode:
 
 class TestLiftBoolean:
     def test_constant_zero_is_identity(self):
-        assert lift_boolean([0, 0], 1).images == (0, 1, 2, 3)
+        assert np.array_equal(lift_boolean([0, 0], 1).images, (0, 1, 2, 3))
 
     def test_identity_function(self):
         # n=1, f(x)=x: swaps (b=0,x=1) <-> (b=1,x=1)
-        assert lift_boolean([0, 1], 1).images == (0, 3, 2, 1)
+        assert np.array_equal(lift_boolean([0, 1], 1).images, (0, 3, 2, 1))
 
     def test_involution(self):
         rng = np.random.default_rng(1)
@@ -87,6 +87,29 @@ class TestLiftBoolean:
             lift_boolean([1], 2)
 
 
+class TestPermutation:
+    def test_images_are_a_read_only_int64_array(self):
+        source = np.array([2, 0, 1])
+        p = Permutation(source)
+        source[0] = 0
+        assert p.images.dtype == np.int64
+        assert np.array_equal(p.images, (2, 0, 1))
+        with pytest.raises(ValueError):
+            p.images[0] = 1
+
+    def test_equal_tables_compare_equal_and_are_not_hashable(self):
+        assert Permutation((1, 0, 2)) == Permutation(np.array([1, 0, 2]))
+        assert Permutation((1, 0, 2)) != Permutation((0, 1, 2))
+        assert Permutation((1, 0)) != (1, 0)
+        with pytest.raises(TypeError):
+            hash(Permutation((1, 0)))
+
+    @pytest.mark.parametrize("images", [(0, 0), (1, 2), (-1, 0), ((0, 1),), 3])
+    def test_rejects_tables_that_are_not_bijections(self, images):
+        with pytest.raises(DomainError):
+            Permutation(images)
+
+
 class TestPermutationToTranspositions:
     def test_identity_empty(self):
         assert permutation_to_transpositions(Permutation(tuple(range(8)))) == []
@@ -103,7 +126,7 @@ class TestPermutationToTranspositions:
             p = Permutation(images)
             ts = permutation_to_transpositions(p)
             assert len(ts) <= 2**w - 1
-            assert apply_transpositions(ts, 2**w).images == images
+            assert np.array_equal(apply_transpositions(ts, 2**w).images, images)
 
 
 class TestSynthTransposition:
@@ -127,7 +150,7 @@ class TestSynthTransposition:
             action = permutation_action(circuit)
             expected = list(range(2**width))
             expected[a], expected[b] = b, a
-            assert action.images == tuple(expected)
+            assert np.array_equal(action.images, tuple(expected))
 
 
 class TestBooleanOracle:
@@ -136,13 +159,13 @@ class TestBooleanOracle:
 
     def test_identity_function_is_controlled_x(self):
         circuit = synth_boolean_oracle([0, 1], 1)
-        assert permutation_action(circuit).images == (0, 3, 2, 1)
+        assert np.array_equal(permutation_action(circuit).images, (0, 3, 2, 1))
 
     def test_text_indicator(self):
         # f = indicator of 'a' in "abab" over 2 data bits
         f = [1, 0, 1, 0]
         circuit = synth_boolean_oracle(f, 2)
-        assert permutation_action(circuit).images == lift_boolean(f, 2).images
+        assert np.array_equal(permutation_action(circuit).images, lift_boolean(f, 2).images)
 
     def test_random_exact(self):
         rng = np.random.default_rng(4)
@@ -150,7 +173,7 @@ class TestBooleanOracle:
             n = int(rng.integers(1, 7))
             f = rng.integers(0, 2, size=2**n)
             circuit = synth_boolean_oracle(f, n)
-            assert permutation_action(circuit).images == lift_boolean(f, n).images
+            assert np.array_equal(permutation_action(circuit).images, lift_boolean(f, n).images)
 
 
 class TestPhaseOracle:
@@ -255,7 +278,7 @@ class TestDenseSimulation:
 
     def test_negative_controls(self):
         circuit = Circuit(2, (Gate("MCX", 1, ((0, False),)),))
-        assert permutation_action(circuit).images == (1, 0, 2, 3)
+        assert np.array_equal(permutation_action(circuit).images, (1, 0, 2, 3))
 
     def test_mcx_controlled_by_every_other_qubit(self):
         # Fixing all five qubits leaves one amplitude on each side of the gate
@@ -277,6 +300,45 @@ class TestDenseSimulation:
         # t1's gates act first, so t1 is the last factor of the operator product.
         expected = apply_transpositions([t2, t1], 2**20)
         assert permutation_action(Circuit(20, gates)) == expected
+
+
+class TestBasisTracking:
+    """``simulate_statevector`` skips the region where a tracked qubit holds its other bit."""
+
+    @staticmethod
+    def statevector(circuit, basis_input):
+        out = simulate_statevector(circuit, basis_input)
+        column = np.ascontiguousarray(simulate_unitary(circuit)[:, basis_input])
+        assert out.tobytes() == column.tobytes()
+        return out
+
+    @staticmethod
+    def expected(n, amplitudes):
+        vec = np.zeros(2**n, dtype=np.complex128)
+        for index, amplitude in amplitudes.items():
+            vec[index] = amplitude
+        return vec
+
+    def test_tracked_control_of_wrong_polarity_skips_the_gate(self):
+        # From |100>, -q0 does not fire, so q1 stays 0 and the X lands on |101>.
+        circuit = Circuit(3, (Gate("MCX", 1, ((0, False),)), Gate("X", 2)))
+        assert np.array_equal(self.statevector(circuit, 0b100), self.expected(3, {0b101: 1}))
+
+    def test_all_tracked_controls_flip_the_target_bit(self):
+        gates = (Gate("X", 0), Gate("MCX", 1, ((0, True), (2, False))), Gate("MCX", 2, ((1, True),)))
+        circuit = Circuit(3, gates)
+        assert np.array_equal(self.statevector(circuit, 0), self.expected(3, {0b111: 1}))
+
+    def test_hadamard_untracks_its_target(self):
+        circuit = Circuit(2, (Gate("H", 0), Gate("MCX", 1, ((0, True),))))
+        half = 1 / np.sqrt(2)
+        assert np.array_equal(self.statevector(circuit, 0), self.expected(2, {0b00: half, 0b11: half}))
+
+    def test_untracked_control_untracks_the_target(self):
+        gates = (Gate("H", 0), Gate("MCX", 1, ((0, True),)), Gate("MCX", 2, ((1, True),)))
+        half = 1 / np.sqrt(2)
+        circuit = Circuit(3, gates)
+        assert np.array_equal(self.statevector(circuit, 0), self.expected(3, {0b000: half, 0b111: half}))
 
 
 class TestGateCount:
@@ -313,7 +375,7 @@ class TestExpandMcx:
         circuit = Circuit(2, (Gate("MCX", 1, ((0, False),)),))
         out = expand_mcx(circuit)
         assert [g.kind for g in out.gates] == ["X", "MCX", "X"]
-        assert permutation_action(out).images == permutation_action(circuit).images
+        assert np.array_equal(permutation_action(out).images, permutation_action(circuit).images)
 
     def test_action_preserved_with_clean_work_register(self):
         rng = np.random.default_rng(6)
@@ -388,7 +450,7 @@ class TestSynthPermutation:
             w = int(rng.integers(1, 7))
             images = tuple(int(v) for v in rng.permutation(2**w))
             circuit = synth_permutation(Permutation(images), w)
-            assert permutation_action(circuit).images == images
+            assert np.array_equal(permutation_action(circuit).images, images)
 
 
 class TestSynthesisStructure:

@@ -25,6 +25,8 @@ from qpmatch import (
     pad_to_power_of_two,
     parse_circuit,
     permutation_action,
+    simulate_statevector,
+    simulate_unitary,
     synth_permutation,
 )
 
@@ -78,6 +80,17 @@ def test_emit_parse_round_trip(circuit):
 
 
 @bounded
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.lists(gates(n), max_size=24).map(lambda gs: Circuit(n, tuple(gs))),
+                        st.integers(0, 2**n - 1))
+))
+def test_statevector_is_the_unitary_column_byte_for_byte(case):
+    circuit, basis_input = case
+    column = np.ascontiguousarray(simulate_unitary(circuit)[:, basis_input])
+    assert simulate_statevector(circuit, basis_input).tobytes() == column.tobytes()
+
+
+@bounded
 @given(gate_lines)
 def test_any_gate_line_parses_or_raises_domain_error(line):
     try:
@@ -91,7 +104,7 @@ def test_any_gate_line_parses_or_raises_domain_error(line):
 def test_synthesized_permutation_acts_exactly(images):
     p = Permutation(tuple(images))
     width = p.size.bit_length() - 1
-    assert permutation_action(synth_permutation(p, width)).images == p.images
+    assert np.array_equal(permutation_action(synth_permutation(p, width)).images, p.images)
 
 
 @bounded
