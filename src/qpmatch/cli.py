@@ -10,6 +10,7 @@ so replays are byte-identical.  Exit codes: 0 success, 1 usage error, 2 domain e
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .circuits import (
+    STATEVECTOR_QUBIT_LIMIT,
     Transposition,
     apply_transpositions,
     emit_circuit,
@@ -223,6 +225,11 @@ def cmd_synth(args) -> int:
 def cmd_scaling_report(args) -> int:
     if args.n_max <= args.n_min:
         raise _UsageError(f"--n-max ({args.n_max}) must be greater than --n-min ({args.n_min})")
+    if args.n_min < 1:
+        raise DomainError(f"--n-min ({args.n_min}) must be at least 1")
+    if args.n_max + 1 > STATEVECTOR_QUBIT_LIMIT:
+        raise ResourceError(f"--n-max {args.n_max} lifts to {args.n_max + 1} qubits, "
+                            f"beyond the limit of {STATEVECTOR_QUBIT_LIMIT}")
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     rows = []
@@ -249,7 +256,9 @@ def cmd_scaling_report(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="qpmatch", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

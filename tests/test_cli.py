@@ -203,6 +203,25 @@ class TestScalingReport:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestConsecutiveCalls:
+    def test_no_option_leaks_into_the_next_call(self, capsys, tmp_path, monkeypatch):
+        transposition = ["synth", "transposition", "--width", "2", "--a", "0", "--b", "3"]
+        code, out, _ = run_cli(capsys, *transposition, "--verify")
+        assert code == 0 and "verify: PASS" in out
+        code, out, _ = run_cli(capsys, *transposition)
+        assert code == 0 and "verify" not in out
+
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"abcabdabcabc")
+        search = ["search", "--text", str(path), "--pattern", "abd", "--trials", "3"]
+        seeded, unseeded = tmp_path / "seeded.json", tmp_path / "unseeded.json"
+        assert run_cli(capsys, *search, "--seed", "5", "--out", str(seeded))[0] == 0
+        monkeypatch.setenv("QPM_SEED", "7")
+        assert run_cli(capsys, *search, "--out", str(unseeded))[0] == 0
+        assert json.loads(seeded.read_text())["spec"]["seed"] == 5
+        assert json.loads(unseeded.read_text())["spec"]["seed"] == 7
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "search")[0] == 1
@@ -254,6 +273,18 @@ class TestExitCodes:
                                "--a", "0", "--b", "1", "--verify")
         self._assert_one_line_error(code, err, 3)
         assert err.startswith("resource limit:")
+
+    def test_scaling_report_bounded_before_the_table(self, capsys):
+        code, out, err = run_cli(capsys, "scaling-report", "--n-min", "25", "--n-max", "26")
+        self._assert_one_line_error(code, err, 3)
+        assert err.startswith("resource limit:")
+        assert out == ""
+
+    @pytest.mark.parametrize("n_min", [0, -2])
+    def test_scaling_report_needs_a_data_bit(self, capsys, n_min):
+        code, out, err = run_cli(capsys, "scaling-report", "--n-min", str(n_min), "--n-max", "3")
+        self._assert_one_line_error(code, err, 2)
+        assert out == ""
 
     @pytest.mark.parametrize("n_min, n_max", [(5, 3), (3, 3)])
     def test_scaling_report_needs_two_rows(self, capsys, n_min, n_max):
