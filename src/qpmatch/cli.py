@@ -68,14 +68,16 @@ def _json_dumps(obj) -> str:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QPM_SEED")
-    if env is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("QPM_SEED", "0")
         try:
-            return int(env)
+            seed, source = int(env), "QPM_SEED"
         except ValueError:
             raise _UsageError(f"invalid QPM_SEED value {env!r}; expected an integer") from None
-    return 0
+    if seed < 0:
+        raise _UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_r_mode(raw: str):
@@ -91,7 +93,7 @@ def _parse_r_mode(raw: str):
 
 def _load_pattern(args) -> Pattern:
     if args.pattern is not None:
-        return Pattern.from_bytes(args.pattern.encode("utf-8"))
+        return Pattern.from_bytes(os.fsencode(args.pattern))
     with open(args.pattern_file, "rb") as fh:
         return Pattern.from_bytes(fh.read())
 
@@ -189,10 +191,10 @@ def cmd_synth(args) -> int:
             dev = float(not ok)
         label = f"transposition {args.a}<->{args.b} width {args.width}"
     elif args.what == "oracle":
-        symbol = args.symbol.encode("utf-8")
+        symbol = os.fsencode(args.symbol)
         if len(symbol) != 1:
-            raise _UsageError(f"--symbol must be one byte in UTF-8, got {args.symbol!r}")
-        text = Text.from_bytes(args.oracle_text.encode("utf-8"))
+            raise _UsageError(f"--symbol must be one byte, got {args.symbol!r}")
+        text = Text.from_bytes(os.fsencode(args.oracle_text))
         n = max(1, (text.n - 1).bit_length())
         bits = np.zeros(2**n, dtype=np.uint8)
         bits[: text.n] = build_index(text).indicator_for(symbol[0]).bits
@@ -270,7 +272,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("baseline", help="classical closest-match scan")
     p.add_argument("--text", required=True)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pattern", help="pattern literal (utf-8 bytes)")
+    group.add_argument("--pattern", help="pattern literal (the argument's raw bytes)")
     group.add_argument("--pattern-file", help="path to a pattern file")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_baseline)
@@ -301,7 +303,7 @@ def build_parser() -> _Parser:
 
     q = synth_sub.add_parser("oracle")
     q.add_argument("--text", dest="oracle_text", required=True, help="text literal")
-    q.add_argument("--symbol", required=True, help="one character of one UTF-8 byte")
+    q.add_argument("--symbol", required=True, help="a one-byte character")
     q.add_argument("--verify", action="store_true")
     q.add_argument("--emit", default=None)
     q.set_defaults(func=cmd_synth)
@@ -333,7 +335,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help and friends
         return 0 if exc.code in (0, None) else EXIT_USAGE
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except DomainError as exc:

@@ -10,6 +10,7 @@ the r register choices j, then the measurement sample.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,20 +28,21 @@ from .simulation import (
 from .text import OracleIndex, Pattern, Text, closest_match_classical
 
 R_MODE_RANDOM = "random"
-J_MODE_RANDOM = "random"
-J_MODE_CYCLE = "cycle"
 
 
 @dataclass(frozen=True)
 class GroverSchedule:
-    """The random choices pinning one run: iteration count r and register picks."""
+    """The random choices pinning one run: the register pick j of each of its r iterations."""
 
-    r: int
     j_choices: tuple
 
-    def __post_init__(self):
-        if self.r != len(self.j_choices):
-            raise DomainError("schedule length does not match iteration count")
+    @property
+    def r(self) -> int:
+        return len(self.j_choices)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -50,13 +52,14 @@ class RunConfig:
     trials: int
     seed: int
     r_mode: object = R_MODE_RANDOM  # "random" or an int for a fixed count
-    j_mode: str = J_MODE_RANDOM  # "random" (the default protocol) or "cycle"
 
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
-        if self.j_mode not in (J_MODE_RANDOM, J_MODE_CYCLE):
-            raise DomainError(f"unknown j mode {self.j_mode!r}")
+        if not _is_count(self.seed):
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.r_mode != R_MODE_RANDOM and not _is_count(self.r_mode):
+            raise DomainError(f"r mode must be {R_MODE_RANDOM!r} or an integer >= 0, got {self.r_mode!r}")
 
     def r_mode_label(self) -> str:
         return self.r_mode if self.r_mode == R_MODE_RANDOM else f"fixed:{int(self.r_mode)}"
@@ -92,22 +95,17 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(trial)])
 
 
-def draw_schedule(rng: np.random.Generator, n: int, m: int, r_mode=R_MODE_RANDOM,
-                  j_mode: str = J_MODE_RANDOM) -> GroverSchedule:
-    """Draw r uniform on [0, floor(sqrt(N-M+1))] (or fixed), then r picks j in [1, M] (i.i.d. or cycling)."""
+def draw_schedule(rng: np.random.Generator, n: int, m: int, r_mode=R_MODE_RANDOM) -> GroverSchedule:
+    """Draw r uniform on [0, floor(sqrt(N-M+1))] (or fixed), then r i.i.d. picks j uniform on [1, M]."""
     if not 1 <= m <= n:
         raise DomainError(f"require 1 <= M <= N, got M={m}, N={n}")
     if r_mode == R_MODE_RANDOM:
         r = int(rng.integers(0, max_iterations(n, m) + 1))
-    else:
+    elif _is_count(r_mode):
         r = int(r_mode)
-        if r < 0:
-            raise DomainError("fixed iteration count must be >= 0")
-    if j_mode == J_MODE_CYCLE:
-        js = tuple(1 + (t % m) for t in range(r))
     else:
-        js = tuple(int(j) for j in rng.integers(1, m + 1, size=r))
-    return GroverSchedule(r, js)
+        raise DomainError(f"fixed iteration count must be an integer >= 0, got {r_mode!r}")
+    return GroverSchedule(tuple(rng.integers(1, m + 1, size=r).tolist()))
 
 
 def grover_step(state: TailEntangledState, j: int, pattern: Pattern, index: OracleIndex) -> TailEntangledState:
@@ -130,11 +128,10 @@ def run_once(
     seed: int,
     trial: int = 0,
     r_mode=R_MODE_RANDOM,
-    j_mode: str = J_MODE_RANDOM,
 ) -> RunOutcome:
     """Execute the full algorithm once and sample a single measured position."""
     rng = trial_rng(seed, trial)
-    schedule = draw_schedule(rng, text.n, pattern.m, r_mode, j_mode)
+    schedule = draw_schedule(rng, text.n, pattern.m, r_mode)
     state = _evolve(text.n, pattern.m, schedule, pattern, index)
     probs = measure_first_register(state).probabilities
     position = int(rng.choice(text.n, p=probs / probs.sum()))
@@ -145,14 +142,15 @@ def run_once(
 def _state_buffer(n: int, m: int) -> np.ndarray:
     """The one state buffer a trial loop evolves in place, size-checked first."""
     k = n - m + 1
-    nbytes = 8 * n * k
-    if nbytes > STATE_BYTES_LIMIT:
-        raise ResourceError(f"search state of N*K*8 = {nbytes} bytes (N={n}, K={k}) "
-                            f"exceeds {STATE_BYTES_LIMIT}")
     # Every operator is real, so float64 holds the reference's exact values.
     # At K = 1 numpy sums the single contiguous column pairwise, and its
     # unrolling differs between float64 and complex128: keep complex there.
-    return np.empty((n, k), dtype=np.complex128 if k == 1 else np.float64)
+    dtype = np.dtype(np.complex128 if k == 1 else np.float64)
+    nbytes = dtype.itemsize * n * k
+    if nbytes > STATE_BYTES_LIMIT:
+        raise ResourceError(f"search state of {nbytes} bytes (N={n}, K={k}, {dtype}) "
+                            f"exceeds {STATE_BYTES_LIMIT}")
+    return np.empty((n, k), dtype=dtype)
 
 
 def _visit_order(keys) -> list:
@@ -210,7 +208,7 @@ def _walk_schedules(amps: np.ndarray, keys, in_t: np.ndarray) -> dict:
     flip = in_t[:, None]
     # complex128 mean() multiplies by 1/N; float64 mean() would divide by N
     inv_n = 1.0 / n
-    may_checkpoint = 2 * 8 * n * k <= STATE_BYTES_LIMIT
+    may_checkpoint = 2 * amps.nbytes <= STATE_BYTES_LIMIT
     checkpoint, held = None, None
     order = _visit_order(keys)
     distributions = {}
@@ -260,6 +258,13 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     if pattern.m > text.n:
         raise DomainError("pattern longer than text")
     n, m = text.n, pattern.m
+    if config.r_mode != R_MODE_RANDOM:
+        # A block's keys hold one 8-byte reference per step and trial; the
+        # draws in flight (the last schedule, the next picks) hold two more.
+        nbytes = 8 * config.r_mode * (min(n - m + 1, config.trials) + 2)
+        if nbytes > STATE_BYTES_LIMIT:
+            raise ResourceError(f"schedules of r = {config.r_mode} steps take {nbytes} bytes "
+                                f"per block of trials, beyond {STATE_BYTES_LIMIT}")
     amps = _state_buffer(n, m)
     k = amps.shape[1]
     in_t = index.indicator_for(int(pattern.symbols[0])).bits.view(bool)
@@ -272,7 +277,7 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
         rngs, keys = [], []
         for trial in range(start, min(start + k, config.trials)):
             rng = trial_rng(config.seed, trial)
-            schedule = draw_schedule(rng, n, m, config.r_mode, config.j_mode)
+            schedule = draw_schedule(rng, n, m, config.r_mode)
             rngs.append(rng)
             keys.append(tuple(j == 1 for j in schedule.j_choices))
         distributions = _walk_schedules(amps, dict.fromkeys(keys), in_t)
@@ -316,8 +321,7 @@ def success_probability(
     trials: int,
     seed: int,
     r_mode=R_MODE_RANDOM,
-    j_mode: str = J_MODE_RANDOM,
 ) -> SuccessEstimate:
     """Fraction of sampled runs whose measurement lands in the classical tie set."""
-    config = RunConfig(trials=trials, seed=seed, r_mode=r_mode, j_mode=j_mode)
+    config = RunConfig(trials=trials, seed=seed, r_mode=r_mode)
     return estimate_distribution(text, pattern, index, config).success

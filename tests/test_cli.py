@@ -140,6 +140,33 @@ class TestSearchCommand:
         assert code == 2
 
 
+class TestRawByteArguments:
+    # A non-UTF-8 argument byte reaches Python as a surrogate escape, as
+    # "\udcff" here for byte 0xff; the command must see the byte itself.
+    def test_search_pattern_matches_the_byte(self, capsys, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"ab\xffba")
+        out = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, "search", "--text", str(path), "--pattern", "\udcff",
+                               "--trials", "3", "--seed", "1", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert json.loads(out.read_text())["classical_baseline"] == {"best_score": 1, "offsets": [2]}
+
+    def test_baseline_pattern_matches_the_byte(self, capsys, tmp_path):
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"a\xffb\xff")
+        code, stdout, _ = run_cli(capsys, "baseline", "--text", str(path), "--pattern", "\udcffb",
+                                  "--format", "json")
+        assert code == 0
+        assert json.loads(stdout) == {"best_score": 2, "offsets": [1]}
+
+    def test_oracle_for_the_byte(self, capsys):
+        code, stdout, err = run_cli(capsys, "synth", "oracle", "--text", "a\udcffb\udcff",
+                                    "--symbol", "\udcff", "--verify")
+        assert (code, err) == (0, "")
+        assert "verify: PASS" in stdout
+
+
 class TestSynthCommand:
     def test_transposition_verify(self, capsys, tmp_path):
         emit = tmp_path / "c.qc"
@@ -297,6 +324,48 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "search", "--text", str(tmp_path), "--pattern", "ab",
                                "--trials", "2")
         self._assert_one_line_error(code, err, 2)
+
+    @pytest.mark.parametrize("argv, env_seed", [
+        (["search", "--text", "{text}", "--pattern", "ab", "--trials", "2", "--seed", "-1"], None),
+        (["search", "--text", "{text}", "--pattern", "ab", "--trials", "2"], "-3"),
+        (["scaling-report", "--n-min", "3", "--n-max", "4", "--seed", "-1"], None),
+    ], ids=["search --seed", "QPM_SEED", "scaling-report --seed"])
+    def test_negative_seed(self, capsys, text_file, monkeypatch, argv, env_seed):
+        if env_seed is not None:
+            monkeypatch.setenv("QPM_SEED", env_seed)
+        code, out, err = run_cli(capsys, *(arg.format(text=text_file) for arg in argv))
+        self._assert_one_line_error(code, err, 1)
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--text", "{text}", "--pattern", "ab", "--trials", "2", "--out", "{bad}"],
+        ["index", "--text", "{text}", "--out", "{bad}"],
+        ["baseline", "--text", "{bad}", "--pattern", "ab"],
+        ["scaling-report", "--n-min", "3", "--n-max", "4", "--out", "{bad}"],
+        ["synth", "transposition", "--width", "2", "--a", "0", "--b", "1", "--emit", "{bad}"],
+    ], ids=lambda argv: argv[0])
+    def test_path_under_a_regular_file(self, capsys, text_file, argv):
+        # open() raises NotADirectoryError, an OSError like a missing file.
+        bad = f"{text_file}/x"
+        code, _, err = run_cli(capsys, *(arg.format(text=text_file, bad=bad) for arg in argv))
+        self._assert_one_line_error(code, err, 2)
+        assert "Not a directory" in err
+
+    def test_fixed_r_bounded_before_drawing(self, capsys, text_file):
+        # One schedule of 10^11 steps would take 745 GiB of picks alone.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "search", "--text", text_file, "--pattern", "ab",
+                                     "--trials", "2", "--r", "fixed:99999999999")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        self._assert_one_line_error(code, err, 3)
+        assert err.startswith("resource limit:")
+        assert out == ""
+        assert peak < 32 * 2**20
 
     def test_search_state_bounded_before_allocation(self, capsys, tmp_path):
         # N = 40000, M = 2: the state would take 8*N*K = 12.8 GB.

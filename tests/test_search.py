@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qpmatch import (
+    DomainError,
     Pattern,
+    ResourceError,
     RunConfig,
     Text,
     build_index,
@@ -54,6 +56,11 @@ class TestDrawSchedule:
             sched = draw_schedule(trial_rng(seed), 20, 5)
             assert all(1 <= j <= 5 for j in sched.j_choices)
             assert len(sched.j_choices) == sched.r
+
+    @pytest.mark.parametrize("r_mode", ["bogus", 2.5, True, -1])
+    def test_rejects_bad_r_modes(self, r_mode):
+        with pytest.raises(DomainError, match="iteration count"):
+            draw_schedule(trial_rng(0), 8, 2, r_mode)
 
     def test_reproducible_from_seed(self):
         assert draw_schedule(trial_rng(123), 50, 4) == draw_schedule(trial_rng(123), 50, 4)
@@ -148,6 +155,21 @@ class TestEstimateDistribution:
         b = estimate_distribution(text, pattern, idx, config)
         assert np.array_equal(a.probabilities, b.probabilities)
 
+    @pytest.mark.parametrize("r_mode", ["bogus", "cycle", 2.5, True, -1, None])
+    def test_config_rejects_bad_r_modes(self, r_mode):
+        with pytest.raises(DomainError, match="r mode"):
+            RunConfig(trials=1, seed=0, r_mode=r_mode)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_config_rejects_bad_seeds(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            RunConfig(trials=1, seed=seed)
+
+    def test_config_accepts_counts(self):
+        assert RunConfig(trials=1, seed=np.int64(4), r_mode=np.int64(0)).r_mode_label() == "fixed:0"
+        assert RunConfig(trials=1, seed=0, r_mode=5).r_mode_label() == "fixed:5"
+        assert RunConfig(trials=1, seed=0).r_mode_label() == "random"
+
     def test_metadata(self):
         text, pattern, idx = planted_instance(30, 3, 12)
         dist = estimate_distribution(text, pattern, idx, RunConfig(trials=5, seed=2, r_mode=3))
@@ -159,9 +181,11 @@ class TestEstimateDistribution:
         # Fixed r = floor(pi/4 sqrt(K)), j cycling: match probability > 0.5.
         text, pattern, idx = planted_instance(19, 4, 5)  # K = 16
         r = int(np.floor(np.pi / 4 * np.sqrt(16)))
-        config = RunConfig(trials=1, seed=0, r_mode=r, j_mode="cycle")
-        dist = estimate_distribution(text, pattern, idx, config)
-        assert dist.probabilities[5] > 0.5
+        state = init_state(19, 4)
+        for t in range(r):
+            state = grover_step(state, 1 + t % 4, pattern, idx)
+        probabilities = measure_first_register(state).probabilities
+        assert probabilities[5] > 0.5
 
 
 class TestSuccessProbability:
@@ -215,7 +239,12 @@ def _edge_instances():
     return [(label, text, pattern, build_index(text)) for label, text, pattern in cases]
 
 
-SCHEDULE_MODES = [("random", "random"), ("random", "cycle"), (0, "random"), (7, "random"), (5, "cycle")]
+SCHEDULE_MODES = ["random", 0, 7]
+
+
+def _mode_id(r_mode):
+    # "<r mode>-random": the register picks are uniform in every mode.
+    return f"{r_mode}-random"
 
 
 def _reduced(schedule):
@@ -240,13 +269,13 @@ class TestFusedTrialLoop:
     ``argmax`` among exactly tied positions.
     """
 
-    @pytest.mark.parametrize("r_mode, j_mode", SCHEDULE_MODES)
-    def test_schedule_probabilities_bit_identical(self, r_mode, j_mode):
+    @pytest.mark.parametrize("r_mode", SCHEDULE_MODES, ids=_mode_id)
+    def test_schedule_probabilities_bit_identical(self, r_mode):
         for label, text, pattern, idx in _edge_instances():
             n, m = text.n, pattern.m
             amps = _state_buffer(n, m)
             in_t = _first_symbol_positions(pattern, idx)
-            schedules = [draw_schedule(trial_rng(3, trial), n, m, r_mode, j_mode) for trial in range(8)]
+            schedules = [draw_schedule(trial_rng(3, trial), n, m, r_mode) for trial in range(8)]
             together = _walk_schedules(amps, dict.fromkeys(map(_reduced, schedules)), in_t)
             for schedule in schedules:
                 expected = _expected(n, m, schedule, pattern, idx)
@@ -270,11 +299,11 @@ class TestFusedTrialLoop:
                 assert set(got) == set(group), label
                 for key in group:
                     js = tuple(1 if flag else 2 + t % (m - 1) for t, flag in enumerate(key))
-                    expected = _expected(n, m, GroverSchedule(len(js), js), pattern, idx)
+                    expected = _expected(n, m, GroverSchedule(js), pattern, idx)
                     assert np.array_equal(got[key], expected), (label, key)
 
-    @pytest.mark.parametrize("r_mode, j_mode", [("random", "random"), (4, "cycle"), ("random", "cycle"), (6, "random")])
-    def test_loop_matches_separate_replays(self, r_mode, j_mode):
+    @pytest.mark.parametrize("r_mode", ["random", 6], ids=_mode_id)
+    def test_loop_matches_separate_replays(self, r_mode):
         # The loop used to be two: one averaging distributions, one sampling
         # run_once.  Its mean, stderr and success count must equal theirs.
         trials, seed = 12, 5
@@ -282,24 +311,22 @@ class TestFusedTrialLoop:
             n, m = text.n, pattern.m
             acc, acc_sq = np.zeros(n), np.zeros(n)
             for trial in range(trials):
-                schedule = draw_schedule(trial_rng(seed, trial), n, m, r_mode, j_mode)
+                schedule = draw_schedule(trial_rng(seed, trial), n, m, r_mode)
                 probs = measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
                 acc += probs
                 acc_sq += probs * probs
             mean = acc / trials
             stderr = np.sqrt(np.maximum(acc_sq / trials - mean**2, 0.0) / trials)
             successes = sum(
-                run_once(text, pattern, idx, seed, trial, r_mode=r_mode, j_mode=j_mode).success
+                run_once(text, pattern, idx, seed, trial, r_mode=r_mode).success
                 for trial in range(trials)
             )
-            config = RunConfig(trials=trials, seed=seed, r_mode=r_mode, j_mode=j_mode)
+            config = RunConfig(trials=trials, seed=seed, r_mode=r_mode)
             dist = estimate_distribution(text, pattern, idx, config)
             assert np.array_equal(dist.probabilities, mean), label
             assert np.array_equal(dist.stderr, stderr), label
             assert dist.success.successes == successes, label
-            assert dist.success == success_probability(
-                text, pattern, idx, trials, seed, r_mode=r_mode, j_mode=j_mode
-            )
+            assert dist.success == success_probability(text, pattern, idx, trials, seed, r_mode=r_mode)
 
     def test_same_bytes_without_checkpoint(self, monkeypatch):
         # Between 8*N*K and 16*N*K bytes the state fits but its checkpoint does not.
@@ -311,6 +338,26 @@ class TestFusedTrialLoop:
         assert with_checkpoint.probabilities.tobytes() == without.probabilities.tobytes()
         assert with_checkpoint.stderr.tobytes() == without.stderr.tobytes()
         assert with_checkpoint.success == without.success
+
+    def test_k1_state_counted_at_its_complex_size(self, monkeypatch):
+        # M = N keeps a complex128 buffer: 16*N bytes, not 8*N.
+        n = 61
+        monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 12 * n)
+        with pytest.raises(ResourceError, match=f"{16 * n} bytes"):
+            _state_buffer(n, n)
+        monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 16 * n)
+        assert _state_buffer(n, n).nbytes == 16 * n
+
+    def test_fixed_r_schedules_bounded_before_drawing(self, monkeypatch):
+        text, pattern, idx = planted_instance(20, 4, 3)  # K = 17
+        config = RunConfig(trials=5, seed=0, r_mode=100)
+        # 8 bytes per step for each of the block's 5 trials, plus two in flight.
+        monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 8 * 100 * 7)
+        assert estimate_distribution(text, pattern, idx, config).trials == 5
+        monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 8 * 100 * 7 - 1)
+        monkeypatch.setattr(search, "draw_schedule", None)  # never reached
+        with pytest.raises(ResourceError, match="r = 100"):
+            estimate_distribution(text, pattern, idx, config)
 
     def test_peak_memory_is_a_few_states(self):
         # One state buffer, one checkpoint and at most K stored distributions;
