@@ -5,7 +5,8 @@ complex128 gate loop before the strided-view kernel replaced it.  Any change
 to an output byte fails here.
 
 - ``<case>.stdout`` holds the stdout of one ``synth`` or ``scaling-report``
-  command; ``transposition16.circ`` is the circuit that command emits.
+  command; ``transposition16.circ`` and ``oracle300.circ`` are the circuits
+  the commands that name them emit.
 - ``init_s4_m5.statevector.sha256`` holds the sha256 of the bytes of
   ``simulate_statevector`` on the 20-qubit s=4/M=5 init-state circuit, the
   largest state any command builds.
@@ -50,6 +51,8 @@ ORACLE_TEXT = "".join("ACGT"[i] for i in np.random.default_rng(2005).integers(0,
 # name -> argv; the emitted circuit path is relative, because stdout names it.
 CASES = {
     "oracle300": ["synth", "oracle", "--text", ORACLE_TEXT, "--symbol", "G", "--verify"],
+    "oracle300_emit": ["synth", "oracle", "--text", ORACLE_TEXT, "--symbol", "G", "--verify",
+                       "--emit", "oracle300.circ"],
     "init_s3_m3": ["synth", "init-state", "--s", "3", "--m", "3", "--verify"],
     "init_s4_m5": ["synth", "init-state", "--s", "4", "--m", "5", "--verify"],
     "init_s3_m6": ["synth", "init-state", "--s", "3", "--m", "6", "--verify"],
@@ -57,8 +60,10 @@ CASES = {
     "transposition16": ["synth", "transposition", "--width", "16", "--a", "12345", "--b", "54321",
                         "--verify", "--emit", "transposition16.circ"],
     "scaling_report": ["scaling-report", "--n-min", "3", "--n-max", "10", "--seed", "4"],
+    # n = 1 is the only row whose MCX gates have a single control.
+    "scaling_report_wide": ["scaling-report", "--n-min", "1", "--n-max", "14", "--seed", "4"],
 }
-EMITTED = {"transposition16": "transposition16.circ"}
+EMITTED = {"transposition16": "transposition16.circ", "oracle300_emit": "oracle300.circ"}
 
 KERNEL_CIRCUITS = 60
 STATEVECTOR_PIN = "init_s4_m5.statevector.sha256"
