@@ -2,11 +2,16 @@
 
 Circuits are gate lists over {H, X, MCX-with-polarities}.  Qubit 0 is the
 most significant bit of a basis index, so the bit of qubit q in a width-w
-circuit is ``(index >> (w - 1 - q)) & 1``.  Boolean-function oracles are
-compiled by lifting the function to a bijection on one extra bit, splitting
-the bijection into transpositions via cycle decomposition, and realizing
-each transposition as a ladder of multi-controlled X gates along a Gray-code
-path between the two transposed words.
+circuit is ``(index >> (w - 1 - q)) & 1``.  A permutation is compiled by
+splitting it into transpositions via cycle decomposition and realizing each
+transposition as a ladder of multi-controlled X gates along a Gray-code path
+between the two transposed words.
+
+A Boolean-function oracle is the lifted bijection (b, x) -> (b ^ f(x), x): one
+transposition (x, 2^n + x) per marked word x.  Each is at Hamming distance 1,
+so its ladder is a single MCX on the ancilla, and the oracle is built (and
+counted) straight from its marked words; the general permutation path gives
+the same gates and remains for arbitrary permutations.
 
 Composition convention: a sequence of permutations or transpositions is read
 as an operator product, i.e. the LAST element of the sequence acts first on
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import getitem
 
 import numpy as np
 
@@ -178,12 +184,8 @@ def parse_circuit(document: str) -> Circuit:
 # --- permutations, transpositions and Gray codes ---
 
 
-def lift_boolean(f, n: int) -> Permutation:
-    """Lift a Boolean function on n bits to the bijection (b, x) -> (b ^ f(x), x).
-
-    ``f`` is indexed by the n data bits; the extra bit b is the most
-    significant position of the lifted words.
-    """
+def _marked_words(f, n: int) -> np.ndarray:
+    """The words x < 2^n with f(x) = 1, ascending; ``f`` must hold at least 2^n bits."""
     if n < 1:
         raise DomainError("need at least one data bit")
     table = np.asarray(f)
@@ -192,8 +194,17 @@ def lift_boolean(f, n: int) -> Permutation:
     table = table[: 2**n]
     if not ((table == 0) | (table == 1)).all():
         raise DomainError("function values must be bits")
+    return np.flatnonzero(table)
+
+
+def lift_boolean(f, n: int) -> Permutation:
+    """Lift a Boolean function on n bits to the bijection (b, x) -> (b ^ f(x), x).
+
+    ``f`` is indexed by the n data bits; the extra bit b is the most
+    significant position of the lifted words.
+    """
+    ones = _marked_words(f, n)
     images = np.arange(2 ** (n + 1))
-    ones = np.flatnonzero(table)
     images[ones] = 2**n + ones
     images[2**n + ones] = ones
     return Permutation(images)
@@ -292,8 +303,27 @@ def synth_permutation(p: Permutation, width: int) -> Circuit:
 
 
 def synth_boolean_oracle(f, n: int) -> Circuit:
-    """Bit oracle on n + 1 qubits computing b ^= f(x); ancilla b is qubit 0."""
-    return synth_permutation(lift_boolean(f, n), n + 1)
+    """Bit oracle on n + 1 qubits computing b ^= f(x); ancilla b is qubit 0.
+
+    The lifted bijection is one transposition (x, 2^n + x) per marked word x,
+    and each one's ladder is a single MCX on qubit 0 controlled by the data
+    qubits at x's bits.  The ladders are laid down in descending x, the gates
+    ``synth_permutation(lift_boolean(f, n), n + 1)`` builds.
+    """
+    marked = _marked_words(f, n)[::-1]
+    bits = ((marked[:, None] >> np.arange(n - 1, -1, -1)) & 1).tolist()
+    # controls[q - 1][bit] is the control (q, bit == 1), shared by every gate.
+    controls = [((q, False), (q, True)) for q in range(1, n + 1)]
+    return Circuit(n + 1, [Gate(MCX, 0, tuple(map(getitem, controls, row))) for row in bits])
+
+
+def oracle_gate_count(f, n: int) -> GateCountReport:
+    """``gate_count(synth_boolean_oracle(f, n))`` without building the circuit.
+
+    One MCX with n controls per marked word, charged as in :class:`GateCountReport`.
+    """
+    marked = len(_marked_words(f, n))
+    return GateCountReport({HADAMARD: 0, PAULI_X: 0, MCX: marked}, marked * _basic_cost(n))
 
 
 def synth_phase_oracle(f, n: int) -> Circuit:
@@ -463,13 +493,17 @@ def permutation_action(circuit: Circuit) -> Permutation:
 # --- cost accounting and MCX expansion ---
 
 
+def _basic_cost(controls: int) -> int:
+    """Basic units of one gate with ``controls`` controls, as :class:`GateCountReport` charges them."""
+    return 1 if controls <= 1 else 2 * controls - 1
+
+
 def gate_count(circuit: Circuit) -> GateCountReport:
     counts = {HADAMARD: 0, PAULI_X: 0, MCX: 0}
     total = 0
     for gate in circuit.gates:
         counts[gate.kind] += 1
-        c = len(gate.controls)
-        total += 1 if c <= 1 else 2 * c - 1
+        total += _basic_cost(len(gate.controls))
     return GateCountReport(counts, total)
 
 

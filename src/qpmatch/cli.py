@@ -25,16 +25,20 @@ from .circuits import (
     emit_circuit,
     gate_count,
     init_state_target,
-    permutation_action,
     lift_boolean,
+    oracle_gate_count,
+    permutation_action,
     simulate_statevector,
     synth_boolean_oracle,
     synth_init_state_circuit,
     synth_transposition,
 )
 from .errors import DomainError, ResourceError
-# success_probability is no longer called here, but benchmarks/tracing.py
-# wraps both names on this module and fails if either is unbound.
+# benchmarks/tracing.py wraps names looked up on this module and fails if one
+# is unbound.  Among them: success_probability, no longer called here, and
+# simulate_statevector, init_state_target, gate_count and synth_boolean_oracle,
+# which only the synth commands call now that scaling-report counts gates
+# without building circuits.
 from .search import RunConfig, estimate_distribution, success_probability
 from .text import (
     OracleIndex,
@@ -237,8 +241,7 @@ def cmd_scaling_report(args) -> int:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         bits = rng.integers(0, 2, size=2**n)
-        circuit = synth_boolean_oracle(bits, n)
-        report = gate_count(circuit)
+        report = oracle_gate_count(bits, n)
         bound_unit = (n + 1) ** 2 * 2 ** (n + 1)
         rows.append((n, report.counts["X"], report.counts["MCX"],
                      report.basic_gate_total, bound_unit,

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from qpmatch import OracleIndex, Text, build_index
+from qpmatch import (
+    OracleIndex,
+    Text,
+    build_index,
+    gate_count,
+    init_state_target,
+    simulate_statevector,
+    synth_boolean_oracle,
+    synth_init_state_circuit,
+)
 from qpmatch.cli import main
 
 
@@ -193,6 +202,16 @@ class TestSynthCommand:
         assert code == 0
         assert "PASS" in stdout
 
+    # A float64 dot of the same state and target sums in another order: with
+    # OpenBLAS on an AVX-512 CPU it moved the last bits for s = 6 to 10 with M = 2.
+    @pytest.mark.parametrize("s, m", [(s, m) for s in range(1, 9) for m in range(2, 17) if s * m <= 16])
+    def test_init_state_deviation_is_the_complex128_fidelity(self, capsys, s, m):
+        code, stdout, _ = run_cli(capsys, "synth", "init-state", "--s", str(s), "--m", str(m), "--verify")
+        out = simulate_statevector(synth_init_state_circuit(s, m), 0)
+        fidelity = abs(np.vdot(init_state_target(s, m), out)) ** 2
+        assert code == 0
+        assert stdout.splitlines()[2] == f"verify: PASS (max deviation {float(abs(1 - fidelity)):.3e})"
+
     def test_resource_limit_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "synth", "init-state", "--s", "8", "--m", "3", "--verify"
@@ -228,6 +247,21 @@ class TestScalingReport:
         run_cli(capsys, "scaling-report", "--n-min", "3", "--n-max", "5", "--seed", "2", "--out", str(a))
         run_cli(capsys, "scaling-report", "--n-min", "3", "--n-max", "5", "--seed", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_up_to_the_top_of_the_bound(self, capsys):
+        code, stdout, _ = run_cli(capsys, "scaling-report", "--n-min", "1", "--n-max", "19", "--seed", "3")
+        assert code == 0
+        rows = [[int(v) for v in ln.split(",")[:4]] for ln in stdout.splitlines()[1:-1]]
+        assert [row[0] for row in rows] == list(range(1, 20))
+        # The same seeded draws, counted from the synthesized circuits.
+        rng = np.random.default_rng(3)
+        for n, x_gates, mcx_gates, basic_total in rows[:12]:
+            report = gate_count(synth_boolean_oracle(rng.integers(0, 2, size=2**n), n))
+            assert [x_gates, mcx_gates, basic_total] == [report.counts["X"], report.counts["MCX"],
+                                                         report.basic_gate_total]
+        code, stdout, err = run_cli(capsys, "scaling-report", "--n-min", "1", "--n-max", "20")
+        assert (code, stdout) == (3, "")
+        assert err.startswith("resource limit:")
 
 
 class TestConsecutiveCalls:

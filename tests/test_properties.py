@@ -7,6 +7,7 @@ import base64
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +23,15 @@ from qpmatch import (
     build_index,
     closest_match_classical,
     emit_circuit,
+    gate_count,
+    lift_boolean,
+    oracle_gate_count,
     pad_to_power_of_two,
     parse_circuit,
     permutation_action,
     simulate_statevector,
     simulate_unitary,
+    synth_boolean_oracle,
     synth_permutation,
 )
 
@@ -105,6 +110,46 @@ def test_synthesized_permutation_acts_exactly(images):
     p = Permutation(tuple(images))
     width = p.size.bit_length() - 1
     assert np.array_equal(permutation_action(synth_permutation(p, width)).images, p.images)
+
+
+# (f, n): all-zero, all-one and drawn tables, sometimes longer than 2^n.
+boolean_tables = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.just([0] * 2**n) | st.just([1] * 2**n)
+        | st.lists(st.integers(0, 1), min_size=2**n, max_size=2**n + 3),
+        st.just(n),
+    )
+)
+
+
+@bounded
+@given(boolean_tables)
+def test_boolean_oracle_is_the_lifted_permutation_gate_for_gate(case):
+    f, n = case
+    assert synth_boolean_oracle(f, n) == synth_permutation(lift_boolean(f, n), n + 1)
+
+
+@bounded
+@given(boolean_tables)
+def test_oracle_gate_count_counts_the_synthesized_oracle(case):
+    f, n = case
+    assert oracle_gate_count(f, n) == gate_count(synth_boolean_oracle(f, n))
+
+
+@bounded
+@given(st.integers(-2, 4).flatmap(
+    lambda n: st.tuples(st.lists(st.sampled_from([0, 1, 2, -1, 0.5]), max_size=2 ** max(n, 0) + 2),
+                        st.just(n))
+))
+def test_oracle_builders_check_tables_like_lift_boolean(case):
+    f, n = case
+    valid = n >= 1 and len(f) >= 2**n and all(v in (0, 1) for v in f[: 2**n])
+    for build in (lift_boolean, synth_boolean_oracle, oracle_gate_count):
+        if valid:
+            build(f, n)
+        else:
+            with pytest.raises(DomainError):
+                build(f, n)
 
 
 @bounded
