@@ -1,11 +1,13 @@
 """Reversible-circuit synthesis and dense verification.
 
-Circuits are gate lists over {H, X, MCX-with-polarities}.  Qubit 0 is the
-most significant bit of a basis index, so the bit of qubit q in a width-w
-circuit is ``(index >> (w - 1 - q)) & 1``.  A permutation is compiled by
-splitting it into transpositions via cycle decomposition and realizing each
-transposition as a ladder of multi-controlled X gates along a Gray-code path
-between the two transposed words.
+Circuits are gate lists over {H, X, MCX-with-polarities}.  A :class:`Gate` is
+plain data; the :class:`Circuit` holding it checks it once, and every consumer
+of gates takes a ``Circuit``.  Qubit 0 is the most significant bit of a basis
+index, so the bit of qubit q in a width-w circuit is
+``(index >> (w - 1 - q)) & 1``.  A permutation is compiled by splitting it
+into transpositions via cycle decomposition and realizing each transposition
+as a ladder of multi-controlled X gates along a Gray-code path between the two
+transposed words.
 
 A Boolean-function oracle is the lifted bijection (b, x) -> (b ^ f(x), x): one
 transposition (x, 2^n + x) per marked word x.  Each is at Hamming distance 1,
@@ -43,41 +45,37 @@ _ALL = slice(None)
 
 @dataclass(frozen=True)
 class Gate:
-    """A single gate; ``controls`` is a tuple of (qubit, positive-polarity)."""
+    """One gate, plain data that :class:`Circuit` checks; ``controls`` holds (qubit, positive) pairs."""
 
     kind: str
     target: int
     controls: tuple = ()
 
-    def __post_init__(self):
-        if self.kind not in (HADAMARD, PAULI_X, MCX):
-            raise DomainError(f"unknown gate kind {self.kind!r}")
-        if self.kind != MCX and self.controls:
-            raise DomainError(f"{self.kind} takes no controls")
-        qubits = [q for q, _ in self.controls]
-        if len(set(qubits)) != len(qubits) or self.target in qubits:
-            raise DomainError("control qubits must be distinct from each other and the target")
-
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates over ``n_qubits`` qubits, first gate first; the one place a gate is checked.
+
+    Each gate must be H, X or an MCX (only an MCX has controls), repeat no
+    qubit among its controls and target, and address only ``[0, n_qubits)``.
+    """
+
     n_qubits: int
     gates: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            used = [g.target] + [q for q, _ in g.controls]
-            if any(not 0 <= q < self.n_qubits for q in used):
+            if g.kind not in (HADAMARD, PAULI_X, MCX):
+                raise DomainError(f"unknown gate kind {g.kind!r}")
+            if g.controls and g.kind != MCX:
+                raise DomainError(f"{g.kind} takes no controls")
+            qubits = {q for q, _ in g.controls}
+            qubits.add(g.target)
+            if len(qubits) <= len(g.controls):
+                raise DomainError("control qubits must be distinct from each other and the target")
+            if min(qubits) < 0 or max(qubits) >= self.n_qubits:
                 raise DomainError("gate addresses qubit outside the circuit")
-
-
-@dataclass(frozen=True)
-class GrayCodePath:
-    """Words r_0 ... r_k of equal width; neighbors differ in exactly one bit."""
-
-    words: tuple
-    width: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +212,8 @@ def apply_transpositions(transpositions, size: int) -> Permutation:
     """Operator-product composition: the last transposition acts first."""
     images = np.arange(size)
     for t in transpositions:  # images = images o t, so the last t acts first
+        if not (0 <= t.a < size and 0 <= t.b < size):
+            raise DomainError(f"transposition ({t.a} {t.b}) out of range [0, {size})")
         images[t.a], images[t.b] = images[t.b], images[t.a]
     return Permutation(images)
 
@@ -243,8 +243,8 @@ def permutation_to_transpositions(p: Permutation):
     return out
 
 
-def gray_code(l: int, l_prime: int, width: int) -> GrayCodePath:
-    """Gray-code path from l to l_prime flipping differing bits MSB-first."""
+def gray_code(l: int, l_prime: int, width: int) -> tuple:
+    """Words l = r_0, ..., r_k = l_prime of the Gray-code path flipping differing bits MSB-first."""
     if l == l_prime:
         raise DomainError("endpoints of a Gray-code path must differ")
     if not (0 <= l < 2**width and 0 <= l_prime < 2**width):
@@ -256,7 +256,7 @@ def gray_code(l: int, l_prime: int, width: int) -> GrayCodePath:
         if (cur ^ l_prime) & mask:
             cur ^= mask
             words.append(cur)
-    return GrayCodePath(tuple(words), width)
+    return tuple(words)
 
 
 # --- synthesis ---
@@ -271,9 +271,7 @@ def _step_gate(word_a: int, word_b: int, width: int) -> Gate:
 
 def _transposition_gates(t: Transposition, width: int) -> list:
     """The gates of :func:`synth_transposition`: a forward sweep and its mirror."""
-    if not (0 <= t.a < 2**width and 0 <= t.b < 2**width):
-        raise DomainError("transposition endpoints out of range for the given width")
-    path = gray_code(t.a, t.b, width).words
+    path = gray_code(t.a, t.b, width)
     steps = [_step_gate(u, v, width) for u, v in zip(path, path[1:])]
     # The backward sweep undoes steps k-1 ... 1; gates are frozen, so reuse them.
     return steps + steps[-2::-1]

@@ -28,6 +28,7 @@ from .simulation import (
 from .text import OracleIndex, Pattern, Text, closest_match_classical
 
 R_MODE_RANDOM = "random"
+WILSON_Z = 1.959963984540054  # the two-sided 95% standard normal quantile
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class RunConfig:
     r_mode: object = R_MODE_RANDOM  # "random" or an int for a fixed count
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        if not _is_count(self.trials) or self.trials < 1:
+            raise DomainError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not _is_count(self.seed):
             raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.r_mode != R_MODE_RANDOM and not _is_count(self.r_mode):
@@ -303,14 +304,14 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple:
-    """Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """Wilson score interval, at the 95% level of :data:`WILSON_Z`, for a binomial proportion."""
+    if trials < 1 or not 0 <= successes <= trials:
+        raise DomainError(f"need trials >= 1 and 0 <= successes <= trials, got {successes} of {trials}")
     p = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (p + z**2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2))
+    denom = 1.0 + WILSON_Z**2 / trials
+    center = (p + WILSON_Z**2 / (2 * trials)) / denom
+    half = (WILSON_Z / denom) * math.sqrt(p * (1 - p) / trials + WILSON_Z**2 / (4 * trials**2))
     return (max(0.0, center - half), min(1.0, center + half))
 
 

@@ -27,6 +27,8 @@ def _frozen_codes(values) -> np.ndarray:
     """Read-only copy of symbol codes: uint8 when every code is in 0..255, else int64."""
     codes = np.asarray(values)
     if codes.dtype != np.uint8:
+        if codes.size and (codes.dtype.kind not in "iu" or codes.max() > np.iinfo(np.int64).max):
+            raise DomainError(f"symbol codes must be integers in the int64 range, got {codes.dtype} codes")
         codes = np.asarray(codes, dtype=np.int64)
     byte_wide = codes.dtype == np.uint8 or (codes.size > 0 and codes.min() >= 0 and codes.max() <= 255)
     frozen = codes.astype(np.uint8 if byte_wide else np.int64)
@@ -91,9 +93,8 @@ class Text:
 
     @classmethod
     def from_codes(cls, codes, alphabet=None) -> "Text":
-        if alphabet is None:
-            alphabet = (int(c) for c in codes)
-        return cls(codes, frozenset(alphabet))
+        codes = _frozen_codes(codes)
+        return cls(codes, frozenset(codes.tolist() if alphabet is None else alphabet))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Text":

@@ -245,10 +245,10 @@ def test_criterion_8_invariant_suite():
     for _ in range(500):
         width = int(rng.integers(1, 11))
         a, b = (int(v) for v in rng.choice(2**width, size=2, replace=False))
-        path = gray_code(a, b, width)
-        ok_gray &= path.words[0] == a and path.words[-1] == b
-        ok_gray &= len(path.words) - 1 <= width
-        ok_gray &= all(bin(u ^ v).count("1") == 1 for u, v in zip(path.words, path.words[1:]))
+        words = gray_code(a, b, width)
+        ok_gray &= words[0] == a and words[-1] == b
+        ok_gray &= len(words) - 1 <= width
+        ok_gray &= all(bin(u ^ v).count("1") == 1 for u, v in zip(words, words[1:]))
 
     # classical baseline vs brute force, 1000 random small instances
     ok_classical = True

@@ -36,20 +36,20 @@ def transposition_matrix(a, b, dim):
 
 class TestGrayCode:
     def test_msb_first(self):
-        assert gray_code(0b000, 0b111, 3).words == (0b000, 0b100, 0b110, 0b111)
+        assert gray_code(0b000, 0b111, 3) == (0b000, 0b100, 0b110, 0b111)
 
     def test_adjacent_words(self):
-        assert gray_code(0b0100, 0b0110, 4).words == (0b0100, 0b0110)
+        assert gray_code(0b0100, 0b0110, 4) == (0b0100, 0b0110)
 
     def test_properties_random(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             width = int(rng.integers(1, 11))
             a, b = rng.choice(2**width, size=2, replace=False)
-            path = gray_code(int(a), int(b), width)
-            assert path.words[0] == a and path.words[-1] == b
-            assert len(path.words) - 1 == bin(a ^ b).count("1") <= width
-            for u, v in zip(path.words, path.words[1:]):
+            words = gray_code(int(a), int(b), width)
+            assert words[0] == a and words[-1] == b
+            assert len(words) - 1 == bin(a ^ b).count("1") <= width
+            for u, v in zip(words, words[1:]):
                 assert bin(u ^ v).count("1") == 1
 
     def test_equal_endpoints_rejected(self):
@@ -127,6 +127,11 @@ class TestPermutationToTranspositions:
             ts = permutation_to_transpositions(p)
             assert len(ts) <= 2**w - 1
             assert np.array_equal(apply_transpositions(ts, 2**w).images, images)
+
+    @pytest.mark.parametrize("t", [Transposition(-1, 2), Transposition(1, 9), Transposition(4, 0)])
+    def test_apply_rejects_endpoints_outside_the_table(self, t):
+        with pytest.raises(DomainError, match="out of range"):
+            apply_transpositions([Transposition(0, 1), t], 4)
 
 
 class TestSynthTransposition:
@@ -436,6 +441,31 @@ class TestTextFormat:
         ):
             with pytest.raises(DomainError):
                 parse_circuit(document)
+
+    @pytest.mark.parametrize(
+        ("source", "message"),
+        [
+            (Gate("Z", 0), "unknown gate kind"),
+            (Gate("CZ", 1, ((0, True),)), "unknown gate kind"),
+            (Gate("H", 0, ((1, True),)), "H takes no controls"),
+            (Gate("X", 1, ((0, False),)), "X takes no controls"),
+            (Gate("MCX", 1, ((0, True), (0, False))), "distinct"),
+            ("MCX +q0 +q0 -> q1", "distinct"),
+            (Gate("MCX", 1, ((1, True),)), "distinct"),
+            ("MCX +q1 -> q1", "distinct"),
+            (Gate("X", -1), "outside the circuit"),
+            (Gate("MCX", 0, ((-1, True),)), "outside the circuit"),
+            ("H q2", "outside the circuit"),
+            ("MCX -q2 -> q0", "outside the circuit"),
+        ],
+    )
+    def test_circuit_checks_each_gate(self, source, message):
+        """A gate is plain data; each check raises from ``Circuit``, built directly or parsed."""
+        with pytest.raises(DomainError, match=message):
+            if isinstance(source, Gate):
+                Circuit(2, (source,))
+            else:
+                parse_circuit(f"QUBITS 2\n{source}\n")
 
     def test_zero_controls_and_whitespace_runs(self):
         circuit = Circuit(3, (Gate("MCX", 0), Gate("MCX", 2, ((0, True), (1, False))), Gate("H", 1)))

@@ -165,6 +165,11 @@ class TestEstimateDistribution:
         with pytest.raises(DomainError, match="seed"):
             RunConfig(trials=1, seed=seed)
 
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True, "3", None])
+    def test_config_rejects_bad_trials(self, trials):
+        with pytest.raises(DomainError, match="trials"):
+            RunConfig(trials=trials, seed=0)
+
     def test_config_accepts_counts(self):
         assert RunConfig(trials=1, seed=np.int64(4), r_mode=np.int64(0)).r_mode_label() == "fixed:0"
         assert RunConfig(trials=1, seed=0, r_mode=5).r_mode_label() == "fixed:5"
@@ -216,6 +221,11 @@ class TestSuccessProbability:
         assert low == pytest.approx(0.4038, abs=1e-3)
         assert high == pytest.approx(0.5962, abs=1e-3)
         assert wilson_interval(0, 10)[0] == 0.0
+
+    @pytest.mark.parametrize(("successes", "trials"), [(5, 3), (-1, 3), (0, 0)])
+    def test_wilson_interval_rejects_counts_outside_the_domain(self, successes, trials):
+        with pytest.raises(DomainError):
+            wilson_interval(successes, trials)
 
 
 def _edge_instances():

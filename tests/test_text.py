@@ -50,6 +50,25 @@ class TestCodeDtype:
         with pytest.raises(DomainError, match="outside its alphabet"):
             Text.from_codes([1, 2, 3], alphabet={1, 2, 300})
 
+    @pytest.mark.parametrize(
+        "codes",
+        [[0.5, 1.7], [1.5], [1 + 2j], [True, False], ["a"], [2**63, 5], [2**63], [2**70],
+         np.array([3], dtype=object)],
+    )
+    @pytest.mark.parametrize("cls", [Text, Pattern])
+    def test_codes_must_be_int64_integers(self, cls, codes):
+        with pytest.raises(DomainError, match="integers in the int64 range"):
+            cls.from_codes(codes)
+
+    def test_wide_integer_codes_are_kept(self):
+        codes = np.array([7, 2**62], dtype=np.uint64)
+        assert Pattern.from_codes(codes).symbols.tolist() == [7, 2**62]
+
+    @pytest.mark.parametrize("cls", [Text, Pattern])
+    def test_empty_codes_need_one_symbol(self, cls):
+        with pytest.raises(DomainError, match="at least one symbol"):
+            cls.from_codes([])
+
 
 class TestBuildIndex:
     def test_aba(self):
