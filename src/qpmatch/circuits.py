@@ -30,7 +30,7 @@ from operator import getitem
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _is_count
 
 HADAMARD = "H"
 PAULI_X = "X"
@@ -56,14 +56,16 @@ class Gate:
 class Circuit:
     """Gates over ``n_qubits`` qubits, first gate first; the one place a gate is checked.
 
-    Each gate must be H, X or an MCX (only an MCX has controls), repeat no
-    qubit among its controls and target, and address only ``[0, n_qubits)``.
+    ``n_qubits`` must be an integer >= 0.  Each gate must be H, X or an MCX (only an MCX has
+    controls), repeat no qubit among its controls and target, and address only ``[0, n_qubits)``.
     """
 
     n_qubits: int
     gates: tuple = ()
 
     def __post_init__(self):
+        if not _is_count(self.n_qubits):
+            raise DomainError(f"qubit count must be an integer >= 0, got {self.n_qubits!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if g.kind not in (HADAMARD, PAULI_X, MCX):
@@ -120,6 +122,8 @@ class Transposition:
     b: int
 
     def __post_init__(self):
+        if not (_is_count(self.a) and _is_count(self.b)):
+            raise DomainError(f"transposition endpoints must be integers >= 0, got {self.a!r} and {self.b!r}")
         if self.a == self.b:
             raise DomainError("transposition endpoints must differ")
 
@@ -212,7 +216,7 @@ def apply_transpositions(transpositions, size: int) -> Permutation:
     """Operator-product composition: the last transposition acts first."""
     images = np.arange(size)
     for t in transpositions:  # images = images o t, so the last t acts first
-        if not (0 <= t.a < size and 0 <= t.b < size):
+        if max(t.a, t.b) >= size:  # a Transposition's endpoints are integers >= 0
             raise DomainError(f"transposition ({t.a} {t.b}) out of range [0, {size})")
         images[t.a], images[t.b] = images[t.b], images[t.a]
     return Permutation(images)
@@ -245,6 +249,8 @@ def permutation_to_transpositions(p: Permutation):
 
 def gray_code(l: int, l_prime: int, width: int) -> tuple:
     """Words l = r_0, ..., r_k = l_prime of the Gray-code path flipping differing bits MSB-first."""
+    if not _is_count(width):
+        raise DomainError(f"width must be an integer >= 0, got {width!r}")
     if l == l_prime:
         raise DomainError("endpoints of a Gray-code path must differ")
     if not (0 <= l < 2**width and 0 <= l_prime < 2**width):
@@ -356,7 +362,7 @@ def synth_init_state_circuit(s: int, m: int) -> Circuit:
     register 1 into uniform superposition; each later register is fanned out
     from its predecessor with CNOTs and then incremented mod 2^s.
     """
-    if s < 1 or m < 2:
+    if not (_is_count(s) and _is_count(m)) or s < 1 or m < 2:
         raise DomainError("require s >= 1 and M >= 2")
     gates = [Gate(HADAMARD, q) for q in range(s)]
     for t in range(2, m + 1):

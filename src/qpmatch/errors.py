@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the count check shared across the package."""
+
+import numbers
 
 
 class DomainError(ValueError):
@@ -7,3 +9,7 @@ class DomainError(ValueError):
 
 class ResourceError(RuntimeError):
     """Raised when a request exceeds a hard size or memory limit."""
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0

@@ -10,12 +10,11 @@ the r register choices j, then the measurement sample.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, _is_count
 from .simulation import (
     STATE_BYTES_LIMIT,
     MatchDistribution,
@@ -40,10 +39,6 @@ class GroverSchedule:
     @property
     def r(self) -> int:
         return len(self.j_choices)
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)

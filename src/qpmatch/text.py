@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _is_count
 
 #: Reserved padding code; never a member of any alphabet.
 SENTINEL = -1
@@ -54,7 +54,7 @@ def _holds(symbols: np.ndarray, code: int) -> bool:
 
 @dataclass(frozen=True)
 class Text:
-    """An immutable string of symbol codes of length N over a finite alphabet.
+    """An immutable string of symbol codes of length N.
 
     ``symbols`` is a read-only copy of the codes: uint8 when every code is in
     0..255 (every text read from bytes), int64 otherwise (sentinel-padded
@@ -62,46 +62,44 @@ class Text:
 
     ``padded_from`` records the original length when sentinel padding has
     been appended (see :func:`pad_to_power_of_two`); it is ``None`` for
-    unpadded texts.
+    unpadded texts.  The alphabet is derived from the codes, on first use.
     """
 
     symbols: np.ndarray
-    alphabet: frozenset
     padded_from: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", _frozen_codes(self.symbols))
         if self.n < 1:
             raise DomainError("text must contain at least one symbol")
-        if SENTINEL in self.alphabet:
+        if self.padded_from is not None and not (_is_count(self.padded_from) and 1 <= self.padded_from < self.n):
+            raise DomainError(f"padded_from must be an integer in [1, {self.n}), got {self.padded_from!r}")
+        body = self.symbols[: self.padded_from]
+        if body.dtype != np.uint8 and (body == SENTINEL).any():  # a byte is never the sentinel
             raise DomainError("alphabet may not contain the padding sentinel")
-        limit = self.padded_from if self.padded_from is not None else self.n
-        body = self.symbols[:limit]
-        if body.dtype == np.uint8:  # delete the alphabet's bytes; any byte left is outside it
-            alphabet_bytes = bytes(c for c in self.alphabet if 0 <= c <= 255)
-            outside = bool(body.tobytes().translate(None, alphabet_bytes))
-        else:
-            outside = not np.isin(body, list(self.alphabet)).all()
-        if outside:
-            raise DomainError("text contains symbols outside its alphabet")
-        if self.padded_from is not None and not (self.symbols[limit:] == SENTINEL).all():
+        if not (self.symbols[len(body) :] == SENTINEL).all():
             raise DomainError("padding region must hold only the sentinel code")
 
     @property
     def n(self) -> int:
         return len(self.symbols)
 
+    @cached_property
+    def alphabet(self) -> frozenset:
+        """The distinct codes of the unpadded body."""
+        body = self.symbols[: self.padded_from]
+        distinct = np.flatnonzero(np.bincount(body)) if body.dtype == np.uint8 else np.unique(body)
+        return frozenset(distinct.tolist())
+
     @classmethod
-    def from_codes(cls, codes, alphabet=None) -> "Text":
-        codes = _frozen_codes(codes)
-        return cls(codes, frozenset(codes.tolist() if alphabet is None else alphabet))
+    def from_codes(cls, codes) -> "Text":
+        return cls(codes)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Text":
         if not data:
             raise DomainError("empty text")
-        raw = np.frombuffer(data, dtype=np.uint8)  # a view; the constructor makes the one copy
-        return cls(raw, frozenset(np.flatnonzero(np.bincount(raw, minlength=256)).tolist()))
+        return cls(np.frombuffer(data, dtype=np.uint8))  # a view; the constructor makes the one copy
 
     @classmethod
     def from_file(cls, path) -> "Text":
@@ -262,14 +260,10 @@ def build_index(text: Text) -> OracleIndex:
 
     Sentinel padding positions belong to no indicator.
     """
-    symbols = text.symbols
-    hits = np.zeros(text.n, dtype=bool)
+    hits = np.empty(text.n, dtype=bool)
     indicators = {}
-    for sym in sorted(int(s) for s in text.alphabet):
-        if _holds(symbols, sym):
-            np.equal(symbols, sym, out=hits)
-        else:
-            hits[:] = False
+    for sym in sorted(text.alphabet):  # every symbol occurs, so the dtype holds it
+        np.equal(text.symbols, sym, out=hits)
         packed = np.packbits(hits)
         packed.setflags(write=False)
         indicators[sym] = SymbolIndicator(sym, packed, text.n)
@@ -358,5 +352,4 @@ def pad_to_power_of_two(text: Text, m: int) -> Text:
     if target == gap:
         return text
     padded = np.concatenate([text.symbols, np.full(target - gap, SENTINEL, dtype=np.int64)])
-    original = text.padded_from if text.padded_from is not None else text.n
-    return Text(padded, text.alphabet, padded_from=original)
+    return Text(padded, text.padded_from or text.n)  # padded_from is None or >= 1

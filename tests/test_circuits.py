@@ -56,6 +56,13 @@ class TestGrayCode:
         with pytest.raises(DomainError):
             gray_code(3, 3, 2)
 
+    @pytest.mark.parametrize("width", [2.0, -1, True])
+    def test_width_must_be_a_count(self, width):
+        with pytest.raises(DomainError, match="width must be an integer >= 0"):
+            gray_code(0, 3, width)
+        with pytest.raises(DomainError, match="width must be an integer >= 0"):
+            synth_transposition(Transposition(0, 3), width)
+
 
 class TestLiftBoolean:
     def test_constant_zero_is_identity(self):
@@ -128,10 +135,21 @@ class TestPermutationToTranspositions:
             assert len(ts) <= 2**w - 1
             assert np.array_equal(apply_transpositions(ts, 2**w).images, images)
 
-    @pytest.mark.parametrize("t", [Transposition(-1, 2), Transposition(1, 9), Transposition(4, 0)])
+    @pytest.mark.parametrize("t", [Transposition(1, 9), Transposition(4, 0)])
     def test_apply_rejects_endpoints_outside_the_table(self, t):
         with pytest.raises(DomainError, match="out of range"):
             apply_transpositions([Transposition(0, 1), t], 4)
+
+    @pytest.mark.parametrize("a", [-1, True, 1.5, np.float64(1.0), "1"])
+    def test_endpoints_must_be_counts(self, a):
+        with pytest.raises(DomainError, match="endpoints must be integers >= 0"):
+            Transposition(a, 2)
+        with pytest.raises(DomainError, match="endpoints must be integers >= 0"):
+            Transposition(2, a)
+
+    def test_numpy_integer_endpoints_are_counts(self):
+        t = Transposition(np.int64(1), np.uint8(2))
+        assert apply_transpositions([t], 4).images.tolist() == [0, 2, 1, 3]
 
 
 class TestSynthTransposition:
@@ -249,6 +267,11 @@ class TestInitStateCircuit:
             synth_init_state_circuit(0, 2)
         with pytest.raises(DomainError):
             synth_init_state_circuit(2, 1)
+
+    @pytest.mark.parametrize("s, m", [(2.5, 2), (2, 2.0), (True, 2), (2, "3")])
+    def test_rejects_sizes_that_are_not_integers(self, s, m):
+        with pytest.raises(DomainError, match="require s >= 1 and M >= 2"):
+            synth_init_state_circuit(s, m)
 
 
 class TestDenseSimulation:
@@ -466,6 +489,11 @@ class TestTextFormat:
                 Circuit(2, (source,))
             else:
                 parse_circuit(f"QUBITS 2\n{source}\n")
+
+    @pytest.mark.parametrize("n_qubits", [-1, 2.5, True, "2"])
+    def test_circuit_qubit_count_must_be_a_count(self, n_qubits):
+        with pytest.raises(DomainError, match="qubit count must be an integer >= 0"):
+            Circuit(n_qubits, (Gate("X", 0),))
 
     def test_zero_controls_and_whitespace_runs(self):
         circuit = Circuit(3, (Gate("MCX", 0), Gate("MCX", 2, ((0, True), (1, False))), Gate("H", 1)))

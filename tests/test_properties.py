@@ -215,13 +215,12 @@ def test_codes_are_uint8_exactly_when_every_code_is_a_byte(codes):
 @bounded
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=40))
 def test_index_of_an_alphabet_superset_zeroes_codes_the_text_cannot_hold(codes):
-    text = Text.from_codes(codes, alphabet=set(codes) | {300, 2**40})
-    index = build_index(text)
-    assert sorted(index.indicators) == sorted(text.alphabet)
+    index = build_index(Text.from_codes(codes))
+    assert sorted(index.indicators) == sorted(set(codes))
     for sym, ind in index.indicators.items():
         assert ind.bits.dtype == np.uint8 and not ind.bits.flags.writeable
         assert ind.bits.tolist() == [int(c == sym) for c in codes]
-    assert not index.indicators[300].bits.any() and not index.indicators[2**40].bits.any()
+    assert not index.indicator_for(300).bits.any() and not index.indicator_for(2**40).bits.any()
 
 
 @bounded
@@ -239,16 +238,15 @@ def test_index_json_round_trip(codes, m):
         assert back.indicators[sym].bits.tolist() == ind.bits.tolist()
 
 
-def _index_json_by_dumps(text):
+def _index_json_by_dumps(text, alphabet):
     """The index document as it was written before indicators were held packed: one json.dumps."""
     symbols = text.symbols.astype(np.int64)
     payload = {
         "version": 1,
         "n": text.n,
-        "alphabet": sorted(text.alphabet),
+        "alphabet": alphabet,
         "indicators": {
-            str(s): base64.b64encode(np.packbits(symbols == s).tobytes()).decode("ascii")
-            for s in sorted(text.alphabet)
+            str(s): base64.b64encode(np.packbits(symbols == s).tobytes()).decode("ascii") for s in alphabet
         },
     }
     return json.dumps(payload, sort_keys=True)
@@ -260,19 +258,20 @@ symbol_codes = st.integers(0, 255) | st.integers(256, 2**40) | st.just(2**40) | 
 
 @st.composite
 def indexed_texts(draw):
-    """A text over a few drawn codes, with an alphabet that may hold more, sometimes sentinel-padded."""
-    alphabet = draw(st.lists(symbol_codes, min_size=1, max_size=6, unique=True))
-    codes = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=70))
-    text = Text.from_codes(codes, alphabet=alphabet)
+    """A text over a few drawn codes, sometimes sentinel-padded, and the sorted distinct codes drawn."""
+    pool = draw(st.lists(symbol_codes, min_size=1, max_size=6, unique=True))
+    codes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=70))
+    text = Text.from_codes(codes)
     m = draw(st.integers(0, len(codes)))
-    return pad_to_power_of_two(text, m) if m else text
+    return (pad_to_power_of_two(text, m) if m else text), sorted(set(codes))
 
 
 @bounded
 @given(indexed_texts())
-def test_index_document_is_what_json_dumps_wrote(text):
+def test_index_document_is_what_json_dumps_wrote(case):
+    text, alphabet = case
     index = build_index(text)
-    assert index.to_json() == _index_json_by_dumps(text)
+    assert index.to_json() == _index_json_by_dumps(text, alphabet)
     back = OracleIndex.from_json(index.to_json())
     assert sorted(back.indicators) == sorted(index.indicators)
     for sym, ind in index.indicators.items():

@@ -46,9 +46,14 @@ class TestCodeDtype:
         assert text.symbols.tolist() == [1, 2, 3]
         assert not text.symbols.flags.writeable
 
-    def test_alphabet_check_on_byte_codes(self):
-        with pytest.raises(DomainError, match="outside its alphabet"):
-            Text.from_codes([1, 2, 3], alphabet={1, 2, 300})
+    def test_sentinel_code_is_rejected(self):
+        with pytest.raises(DomainError, match="may not contain the padding sentinel"):
+            Text.from_codes([3, SENTINEL])
+
+    def test_alphabet_is_the_distinct_codes_of_the_body(self):
+        assert T("abca").alphabet == frozenset(b"abc")
+        assert Text.from_codes([300, -5, 300]).alphabet == frozenset({300, -5})
+        assert pad_to_power_of_two(Text.from_codes([300, 2, 3, 300, 5]), 2).alphabet == frozenset({2, 3, 5, 300})
 
     @pytest.mark.parametrize(
         "codes",
@@ -209,6 +214,15 @@ class TestRecodeKgrams:
 
 
 class TestPadding:
+    def test_padding_region_holds_only_the_sentinel(self):
+        with pytest.raises(DomainError, match="padding region must hold only the sentinel"):
+            Text(np.array([1, 2, 5]), padded_from=2)
+
+    @pytest.mark.parametrize("padded_from", [0, 3, 100, -1, 2.5, True, "2"])
+    def test_padded_from_must_be_an_integer_inside_the_text(self, padded_from):
+        with pytest.raises(DomainError, match=r"padded_from must be an integer in \[1, 3\)"):
+            Text(np.array([1, 2, SENTINEL]), padded_from=padded_from)
+
     def test_pads_to_next_power(self):
         padded = pad_to_power_of_two(T("abcabcabca"), 4)  # N=10, gap 6 -> 8
         assert padded.n == 12
