@@ -16,8 +16,8 @@ def main() -> None:
     codes = rng.integers(0, 4, size=n)
     pat = np.arange(100, 100 + m)
     codes[offset : offset + m] = pat
-    text = Text.from_codes(codes)
-    pattern = Pattern.from_codes(pat)
+    text = Text(codes)
+    pattern = Pattern(pat)
     index = build_index(text)
 
     dist = estimate_distribution(text, pattern, index, RunConfig(trials=2000, seed=7))

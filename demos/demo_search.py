@@ -15,7 +15,6 @@ from qpmatch import (
     build_index,
     closest_match_classical,
     estimate_distribution,
-    success_probability,
 )
 
 
@@ -23,11 +22,11 @@ def main() -> None:
     rng = np.random.default_rng(0)
     n, m = 64, 4
     codes = rng.integers(0, 4, size=n)
-    pattern = Pattern.from_codes([10, 11, 12, 13])
+    pattern = Pattern([10, 11, 12, 13])
     codes[40:44] = pattern.symbols          # exact occurrence
     codes[12:14] = pattern.symbols[:2]      # half occurrence
     codes[14:16] = [50, 51]
-    text = Text.from_codes(codes)
+    text = Text(codes)
     index = build_index(text)
 
     baseline = closest_match_classical(text, pattern)
@@ -42,7 +41,7 @@ def main() -> None:
         marker = " <-- exact match" if pos == 40 else (" <-- half match" if pos == 12 else "")
         print(f"  position {pos:3d}: {dist.probabilities[pos]:.5f}{marker}")
 
-    est = success_probability(text, pattern, index, trials=500, seed=7)
+    est = dist.success
     k = n - m + 1
     print(f"\nsuccess rate over {est.trials} sampled runs: {est.estimate:.4f} "
           f"(95% CI [{est.wilson_low:.4f}, {est.wilson_high:.4f}])")

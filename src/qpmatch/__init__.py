@@ -19,20 +19,17 @@ from .text import (
 )
 from .simulation import (
     FullStateReference,
-    MatchDistribution,
     TailEntangledState,
     apply_diffusion,
     apply_query_phase,
     embed_full,
-    export_snapshot_csv,
     full_apply_diffusion,
     full_apply_query,
-    full_init_state,
     init_state,
     measure_first_register,
 )
 from .search import (
-    GroverSchedule,
+    MatchDistribution,
     RunConfig,
     RunOutcome,
     SuccessEstimate,

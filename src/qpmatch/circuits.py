@@ -39,6 +39,10 @@ MCX = "MCX"
 UNITARY_QUBIT_LIMIT = 12
 STATEVECTOR_QUBIT_LIMIT = 20
 
+#: Hard cap on the control entries, summed over gates, of a synthesized circuit; counted before
+#: any gate is built.  An entry takes at most about 100 bytes, so a circuit at the cap about 210 MB.
+CONTROL_ENTRIES_LIMIT = 2**21
+
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _ALL = slice(None)
 
@@ -268,6 +272,23 @@ def gray_code(l: int, l_prime: int, width: int) -> tuple:
 # --- synthesis ---
 
 
+def _check_control_entries(entries: int, what: str) -> None:
+    if entries > CONTROL_ENTRIES_LIMIT:
+        raise ResourceError(f"{what} needs {entries} control entries, beyond the limit of {CONTROL_ENTRIES_LIMIT}")
+
+
+def _ladder_entries(transpositions, width) -> int:
+    """Control entries of the ladders of ``transpositions``: 2d - 1 gates of width - 1 controls each.
+
+    d is the Hamming distance of a transposition's endpoints.  What :func:`gray_code` refuses, a width
+    or endpoints it cannot hold, counts nothing: its error comes first.
+    """
+    if not _is_count(width):
+        return 0
+    d = [(int(t.a) ^ int(t.b)).bit_count() for t in transpositions if int(max(t.a, t.b)).bit_length() <= width]
+    return (2 * sum(d) - len(d)) * (width - 1)
+
+
 def _step_gate(word_a: int, word_b: int, width: int) -> Gate:
     """MCX transposing two words at Hamming distance 1, fixing everything else."""
     target = width - (word_a ^ word_b).bit_length()
@@ -291,6 +312,7 @@ def synth_transposition(t: Transposition, width: int) -> Circuit:
     words); the backward sweep restores the interior, leaving the pure
     transposition.
     """
+    _check_control_entries(_ladder_entries([t], width), "transposition")
     return Circuit(width, _transposition_gates(t, width))
 
 
@@ -300,8 +322,10 @@ def synth_permutation(p: Permutation, width: int) -> Circuit:
     The transposition sequence is an operator product, so the ladders are
     laid down in reverse sequence order.
     """
+    transpositions = permutation_to_transpositions(p)
+    _check_control_entries(_ladder_entries(transpositions, width), "permutation")
     gates = []
-    for t in reversed(permutation_to_transpositions(p)):
+    for t in reversed(transpositions):
         gates += _transposition_gates(t, width)
     return Circuit(width, gates)
 
@@ -315,6 +339,7 @@ def synth_boolean_oracle(f, n: int) -> Circuit:
     ``synth_permutation(lift_boolean(f, n), n + 1)`` builds.
     """
     marked = _marked_words(f, n)[::-1]
+    _check_control_entries(len(marked) * n, "oracle")
     bits = ((marked[:, None] >> np.arange(n - 1, -1, -1)) & 1).tolist()
     # controls[q - 1][bit] is the control (q, bit == 1), shared by every gate.
     controls = [((q, False), (q, True)) for q in range(1, n + 1)]
@@ -364,6 +389,8 @@ def synth_init_state_circuit(s: int, m: int) -> Circuit:
     """
     if not (_is_count(s) and _is_count(m)) or s < 1 or m < 2:
         raise DomainError("require s >= 1 and M >= 2")
+    # Per later register: s CNOTs, then an increment of s(s - 1)/2 controls.
+    _check_control_entries((m - 1) * (s + s * (s - 1) // 2), "init-state circuit")
     gates = [Gate(HADAMARD, q) for q in range(s)]
     for t in range(2, m + 1):
         src = (t - 2) * s

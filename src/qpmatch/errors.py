@@ -12,4 +12,5 @@ class ResourceError(RuntimeError):
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+    # type() first: an ABC isinstance costs about 0.7 us, and trial_rng checks two counts per trial.
+    return (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)) and value >= 0

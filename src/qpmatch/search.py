@@ -9,6 +9,7 @@ the r register choices j, then the measurement sample.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import DomainError, ResourceError, _is_count
 from .simulation import (
     STATE_BYTES_LIMIT,
-    MatchDistribution,
     TailEntangledState,
     apply_diffusion,
     apply_query_phase,
@@ -28,17 +28,6 @@ from .text import OracleIndex, Pattern, Text, closest_match_classical
 
 R_MODE_RANDOM = "random"
 WILSON_Z = 1.959963984540054  # the two-sided 95% standard normal quantile
-
-
-@dataclass(frozen=True)
-class GroverSchedule:
-    """The random choices pinning one run: the register pick j of each of its r iterations."""
-
-    j_choices: tuple
-
-    @property
-    def r(self) -> int:
-        return len(self.j_choices)
 
 
 @dataclass(frozen=True)
@@ -63,10 +52,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """One measured position plus the schedule that produced it."""
+    """One measured position plus the schedule, the register picks j of its r steps, that produced it."""
 
     measured_position: int
-    schedule: GroverSchedule
+    schedule: tuple
     success: bool
 
 
@@ -81,6 +70,37 @@ class SuccessEstimate:
     wilson_high: float
 
 
+@dataclass(frozen=True)
+class MatchDistribution:
+    """Measured position probabilities averaged over a run's trials, the main observable output."""
+
+    probabilities: np.ndarray
+    n: int
+    m: int
+    trials: int
+    seed: int
+    r_mode: str
+    stderr: np.ndarray
+    #: Sampled success of the same trials; kept out of the distribution's JSON.
+    success: SuccessEstimate
+
+    def to_json_dict(self) -> dict:
+        return {
+            "n": self.n,
+            "m": self.m,
+            "trials": self.trials,
+            "seed": self.seed,
+            "r_mode": self.r_mode,
+            "probabilities": [float(p) for p in self.probabilities],
+        }
+
+    def write_csv(self, fh) -> None:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["position", "probability"])
+        for pos, p in enumerate(self.probabilities):
+            writer.writerow([pos, repr(float(p))])
+
+
 def max_iterations(n: int, m: int) -> int:
     """Upper end of the iteration draw, floor(sqrt(N - M + 1))."""
     return math.isqrt(n - m + 1)
@@ -88,11 +108,13 @@ def max_iterations(n: int, m: int) -> int:
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """Generator for one trial under the documented stream-splitting rule."""
-    return np.random.default_rng([int(seed), int(trial)])
+    if not (_is_count(seed) and _is_count(trial)):
+        raise DomainError(f"seed and trial must be integers >= 0, got {seed!r} and {trial!r}")
+    return np.random.default_rng([seed, trial])
 
 
-def draw_schedule(rng: np.random.Generator, n: int, m: int, r_mode=R_MODE_RANDOM) -> GroverSchedule:
-    """Draw r uniform on [0, floor(sqrt(N-M+1))] (or fixed), then r i.i.d. picks j uniform on [1, M]."""
+def draw_schedule(rng: np.random.Generator, n: int, m: int, r_mode=R_MODE_RANDOM) -> tuple:
+    """Draw r uniform on [0, floor(sqrt(N-M+1))] (or fixed); the schedule is r picks j uniform on [1, M]."""
     if not 1 <= m <= n:
         raise DomainError(f"require 1 <= M <= N, got M={m}, N={n}")
     if r_mode == R_MODE_RANDOM:
@@ -101,7 +123,7 @@ def draw_schedule(rng: np.random.Generator, n: int, m: int, r_mode=R_MODE_RANDOM
         r = int(r_mode)
     else:
         raise DomainError(f"fixed iteration count must be an integer >= 0, got {r_mode!r}")
-    return GroverSchedule(tuple(rng.integers(1, m + 1, size=r).tolist()))
+    return tuple(rng.integers(1, m + 1, size=r).tolist())
 
 
 def grover_step(state: TailEntangledState, j: int, pattern: Pattern, index: OracleIndex) -> TailEntangledState:
@@ -112,7 +134,7 @@ def grover_step(state: TailEntangledState, j: int, pattern: Pattern, index: Orac
 
 def _evolve(n, m, schedule, pattern, index) -> TailEntangledState:
     state = init_state(n, m)
-    for j in schedule.j_choices:
+    for j in schedule:
         state = grover_step(state, j, pattern, index)
     return state
 
@@ -129,7 +151,7 @@ def run_once(
     rng = trial_rng(seed, trial)
     schedule = draw_schedule(rng, text.n, pattern.m, r_mode)
     state = _evolve(text.n, pattern.m, schedule, pattern, index)
-    probs = measure_first_register(state).probabilities
+    probs = measure_first_register(state)
     position = int(rng.choice(text.n, p=probs / probs.sum()))
     ties = set(closest_match_classical(text, pattern).offsets)
     return RunOutcome(position, schedule, position in ties)
@@ -185,7 +207,7 @@ def _common_prefix(a: tuple, b: tuple) -> int:
 
 
 def _walk_schedules(amps: np.ndarray, keys, in_t: np.ndarray) -> dict:
-    """``measure_first_register(_evolve(...)).probabilities`` of each reduced schedule, bit for bit.
+    """``measure_first_register(_evolve(...))`` of each reduced schedule, bit for bit.
 
     A reduced schedule is the tuple of ``j == 1`` flags of a schedule's steps:
     the j >= 2 queries are skipped, because each negates whole columns
@@ -253,6 +275,8 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     """
     if pattern.m > text.n:
         raise DomainError("pattern longer than text")
+    if index.n != text.n:
+        raise DomainError("indicator length does not match text length")
     n, m = text.n, pattern.m
     if config.r_mode != R_MODE_RANDOM:
         # A block's keys hold one 8-byte reference per step and trial; the
@@ -273,9 +297,8 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
         rngs, keys = [], []
         for trial in range(start, min(start + k, config.trials)):
             rng = trial_rng(config.seed, trial)
-            schedule = draw_schedule(rng, n, m, config.r_mode)
             rngs.append(rng)
-            keys.append(tuple(j == 1 for j in schedule.j_choices))
+            keys.append(tuple(j == 1 for j in draw_schedule(rng, n, m, config.r_mode)))
         distributions = _walk_schedules(amps, dict.fromkeys(keys), in_t)
         for rng, key in zip(rngs, keys):
             probs = distributions[key]

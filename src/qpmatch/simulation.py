@@ -11,17 +11,12 @@ brute-force oracle for equivalence testing at small sizes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
 from .text import SymbolIndicator
-
-if TYPE_CHECKING:
-    from .search import SuccessEstimate
 
 #: Hard cap on the naive tensor dimension N^M.
 FULL_REFERENCE_LIMIT = 2**20
@@ -48,37 +43,6 @@ class TailEntangledState:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
-
-
-@dataclass(frozen=True)
-class MatchDistribution:
-    """Measured position probabilities, the main observable output."""
-
-    probabilities: np.ndarray
-    n: int
-    m: int
-    trials: int | None = None
-    seed: int | None = None
-    r_mode: str | None = None
-    stderr: np.ndarray | None = None
-    #: Sampled success of the same trials; kept out of the distribution's JSON.
-    success: SuccessEstimate | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "seed": self.seed,
-            "r_mode": self.r_mode,
-            "probabilities": [float(p) for p in self.probabilities],
-        }
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["position", "probability"])
-        for pos, p in enumerate(self.probabilities):
-            writer.writerow([pos, repr(float(p))])
 
 
 def init_state(n: int, m: int) -> TailEntangledState:
@@ -120,20 +84,9 @@ def apply_diffusion(state: TailEntangledState) -> TailEntangledState:
     return TailEntangledState(state.n, state.m, 2.0 * mu[None, :] - state.amps)
 
 
-def measure_first_register(state: TailEntangledState) -> MatchDistribution:
-    """Marginal distribution of the first register over positions [0, N)."""
-    probs = np.sum(np.abs(state.amps) ** 2, axis=1)
-    return MatchDistribution(probs, state.n, state.m)
-
-
-def export_snapshot_csv(state: TailEntangledState, fh, threshold: float = 1e-14) -> None:
-    """Debug snapshot: rows "i,k,re,im" for entries with magnitude > threshold."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["i", "k", "re", "im"])
-    rows, cols = np.nonzero(np.abs(state.amps) > threshold)
-    for i, k in zip(rows, cols):
-        a = state.amps[i, k]
-        writer.writerow([int(i), int(k), repr(float(a.real)), repr(float(a.imag))])
+def measure_first_register(state: TailEntangledState) -> np.ndarray:
+    """Marginal probabilities of the first register over positions [0, N)."""
+    return np.sum(np.abs(state.amps) ** 2, axis=1)
 
 
 # --- brute-force reference over the full tensor space ---
@@ -148,35 +101,18 @@ class FullStateReference:
     amps: np.ndarray = field(repr=False)
 
 
-def _check_full_dims(n: int, m: int) -> int:
-    dim = n**m
-    if dim > FULL_REFERENCE_LIMIT:
-        raise ResourceError(f"full reference dimension N^M = {dim} exceeds {FULL_REFERENCE_LIMIT}")
-    return dim
-
-
-def _tail_indices(n: int, m: int) -> np.ndarray:
-    """Tensor index of the tail |k+1, ..., k+M-1> for each column k."""
-    k = n - m + 1
-    tails = np.zeros(k, dtype=np.int64)
-    for t in range(1, m):
-        tails = tails * n + (np.arange(k) + t)
-    return tails
-
-
 def embed_full(state: TailEntangledState) -> FullStateReference:
     """Embed the structured state into the N^M-dimensional tensor space."""
-    dim = _check_full_dims(state.n, state.m)
-    vec = np.zeros(dim, dtype=np.complex128)
-    tails = _tail_indices(state.n, state.m)
-    stride = state.n ** (state.m - 1)
-    for i in range(state.n):
-        np.add.at(vec, i * stride + tails, state.amps[i])
-    return FullStateReference(state.n, state.m, vec)
-
-
-def full_init_state(n: int, m: int) -> FullStateReference:
-    return embed_full(init_state(n, m))
+    n, m, k = state.n, state.m, state.k
+    if n**m > FULL_REFERENCE_LIMIT:
+        raise ResourceError(f"full reference dimension N^M = {n**m} exceeds {FULL_REFERENCE_LIMIT}")
+    tails = np.zeros(k, dtype=np.int64)  # tensor index of each column k's tail |k+1, ..., k+M-1>
+    for t in range(1, m):
+        tails = tails * n + (np.arange(k) + t)
+    vec = np.zeros(n**m, dtype=np.complex128)
+    for i in range(n):
+        np.add.at(vec, i * n ** (m - 1) + tails, state.amps[i])
+    return FullStateReference(n, m, vec)
 
 
 def full_apply_query(ref: FullStateReference, j: int, indicator: SymbolIndicator) -> FullStateReference:

@@ -52,7 +52,17 @@ def _holds(symbols: np.ndarray, code: int) -> bool:
     return info.min <= code <= info.max
 
 
-@dataclass(frozen=True)
+def _refuse_sentinel(codes: np.ndarray) -> None:
+    if codes.dtype != np.uint8 and (codes == SENTINEL).any():  # a byte is never the sentinel
+        raise DomainError("alphabet may not contain the padding sentinel")
+
+
+def _same_codes(self, other):
+    """``__eq__`` of :class:`Text` and :class:`Pattern`; a class body defining ``__eq__`` is unhashable."""
+    return np.array_equal(self.symbols, other.symbols) if type(other) is type(self) else NotImplemented
+
+
+@dataclass(frozen=True, eq=False)
 class Text:
     """An immutable string of symbol codes of length N.
 
@@ -63,6 +73,7 @@ class Text:
     ``padded_from`` records the original length when sentinel padding has
     been appended (see :func:`pad_to_power_of_two`); it is ``None`` for
     unpadded texts.  The alphabet is derived from the codes, on first use.
+    Texts with equal codes compare equal; a text is not hashable.
     """
 
     symbols: np.ndarray
@@ -75,10 +86,11 @@ class Text:
         if self.padded_from is not None and not (_is_count(self.padded_from) and 1 <= self.padded_from < self.n):
             raise DomainError(f"padded_from must be an integer in [1, {self.n}), got {self.padded_from!r}")
         body = self.symbols[: self.padded_from]
-        if body.dtype != np.uint8 and (body == SENTINEL).any():  # a byte is never the sentinel
-            raise DomainError("alphabet may not contain the padding sentinel")
+        _refuse_sentinel(body)
         if not (self.symbols[len(body) :] == SENTINEL).all():
             raise DomainError("padding region must hold only the sentinel code")
+
+    __eq__ = _same_codes  # the codes fix padded_from, the first sentinel's position
 
     @property
     def n(self) -> int:
@@ -92,10 +104,6 @@ class Text:
         return frozenset(distinct.tolist())
 
     @classmethod
-    def from_codes(cls, codes) -> "Text":
-        return cls(codes)
-
-    @classmethod
     def from_bytes(cls, data: bytes) -> "Text":
         if not data:
             raise DomainError("empty text")
@@ -107,12 +115,13 @@ class Text:
             return cls.from_bytes(fh.read())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pattern:
     """An immutable sequence of symbol codes of length M.
 
     ``symbols`` follows the rule of :class:`Text`: a read-only copy, uint8
-    when every code is in 0..255 and int64 otherwise.
+    when every code is in 0..255 and int64 otherwise, never the sentinel.
+    Patterns with equal codes compare equal; a pattern is not hashable.
     """
 
     symbols: np.ndarray
@@ -121,14 +130,13 @@ class Pattern:
         object.__setattr__(self, "symbols", _frozen_codes(self.symbols))
         if self.m < 1:
             raise DomainError("pattern must contain at least one symbol")
+        _refuse_sentinel(self.symbols)
+
+    __eq__ = _same_codes
 
     @property
     def m(self) -> int:
         return len(self.symbols)
-
-    @classmethod
-    def from_codes(cls, codes) -> "Pattern":
-        return cls(codes)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Pattern":
@@ -334,7 +342,7 @@ def recode_kgrams(text: Text, pattern: Pattern, k: int):
 
     new_text = encode(text.symbols)
     new_pattern = encode(pattern.symbols)
-    return Text.from_codes(new_text), Pattern.from_codes(new_pattern)
+    return Text(new_text), Pattern(new_pattern)
 
 
 def pad_to_power_of_two(text: Text, m: int) -> Text:

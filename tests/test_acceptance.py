@@ -27,7 +27,6 @@ from qpmatch import (
     estimate_distribution,
     full_apply_diffusion,
     full_apply_query,
-    full_init_state,
     gate_count,
     gray_code,
     init_state,
@@ -59,19 +58,19 @@ def planted_instance(n, m, offset, seed=0, alphabet=4):
     codes = rng.integers(0, alphabet, size=n)
     pat = np.arange(100, 100 + m)
     codes[offset : offset + m] = pat
-    text = Text.from_codes(codes)
-    return text, Pattern.from_codes(pat), build_index(text)
+    text = Text(codes)
+    return text, Pattern(pat), build_index(text)
 
 
 def test_criterion_1_structured_vs_full_equivalence():
     rng = np.random.default_rng(10)
     worst = 0.0
     for n, m in [(4, 2), (6, 2), (6, 3), (8, 3)]:
-        text = Text.from_codes(rng.integers(0, 3, size=n))
+        text = Text(rng.integers(0, 3, size=n))
         idx = build_index(text)
         for _ in range(20):
             state = init_state(n, m)
-            ref = full_init_state(n, m)
+            ref = embed_full(state)
             for _ in range(50):
                 if rng.random() < 0.5:
                     j = int(rng.integers(1, m + 1))
@@ -126,8 +125,8 @@ def test_criterion_4_partial_match_ordering():
     codes[full_at : full_at + m] = pat
     codes[half_at : half_at + m // 2] = pat[: m // 2]
     codes[half_at + m // 2 : half_at + m] = 99  # not a pattern symbol
-    text = Text.from_codes(codes)
-    pattern = Pattern.from_codes(pat)
+    text = Text(codes)
+    pattern = Pattern(pat)
     idx = build_index(text)
     dist = estimate_distribution(text, pattern, idx, RunConfig(trials=2000, seed=11))
     k = n - m + 1
@@ -222,7 +221,7 @@ def test_criterion_8_invariant_suite():
     for _ in range(20):
         n = int(rng.integers(2, 12))
         m = int(rng.integers(1, n + 1))
-        text = Text.from_codes(rng.integers(0, 3, size=n))
+        text = Text(rng.integers(0, 3, size=n))
         idx = build_index(text)
         state = init_state(n, m)
         for _ in range(30):
@@ -259,7 +258,7 @@ def test_criterion_8_invariant_suite():
         pat = rng.integers(0, 4, size=m)
         scores = [sum(int(codes[o + j] == pat[j]) for j in range(m)) for o in range(n - m + 1)]
         best = max(scores)
-        res = closest_match_classical(Text.from_codes(codes), Pattern.from_codes(pat))
+        res = closest_match_classical(Text(codes), Pattern(pat))
         ok_classical &= res.best_score == best
         ok_classical &= list(res.offsets) == [o for o, s in enumerate(scores) if s == best]
 

@@ -25,6 +25,7 @@ from qpmatch import (
     synth_phase_oracle,
     synth_transposition,
 )
+from qpmatch import circuits
 from qpmatch.circuits import apply_transpositions
 
 
@@ -542,3 +543,56 @@ class TestSynthesisStructure:
             gates = synth_transposition(Transposition(a, b), width).gates
             k = bin(a ^ b).count("1")
             assert gates[k:] == gates[: k - 1][::-1]
+
+
+def _control_entries(circuit):
+    return sum(len(g.controls) for g in circuit.gates)
+
+
+def _no_gate(*args):
+    raise AssertionError("a gate was built")
+
+
+SYNTHESES = {
+    "transposition": lambda: synth_transposition(Transposition(0b00101, 0b11010), 5),
+    "permutation": lambda: synth_permutation(Permutation(np.random.default_rng(8).permutation(32)), 5),
+    "oracle": lambda: synth_boolean_oracle(np.random.default_rng(8).integers(0, 2, size=64), 6),
+    "phase oracle": lambda: synth_phase_oracle(np.random.default_rng(8).integers(0, 2, size=64), 6),
+    "init-state": lambda: synth_init_state_circuit(3, 4),
+}
+
+
+class TestControlEntryBound:
+    """Synthesis counts its control entries in closed form and refuses a circuit above the cap unbuilt."""
+
+    @pytest.mark.parametrize("name", SYNTHESES)
+    def test_refused_above_the_cap_before_any_gate(self, monkeypatch, name):
+        build = SYNTHESES[name]
+        entries = _control_entries(build())
+        monkeypatch.setattr(circuits, "CONTROL_ENTRIES_LIMIT", entries)
+        assert _control_entries(build()) == entries
+        monkeypatch.setattr(circuits, "CONTROL_ENTRIES_LIMIT", entries - 1)
+        monkeypatch.setattr(circuits, "Gate", _no_gate)
+        with pytest.raises(ResourceError, match=f"needs {entries} control entries"):
+            build()
+
+    def test_closed_forms_count_the_built_entries(self):
+        rng = np.random.default_rng(12)
+        for width in range(1, 8):
+            a, b = (int(v) for v in rng.choice(2**width, size=2, replace=False))
+            d = bin(a ^ b).count("1")
+            assert _control_entries(synth_transposition(Transposition(a, b), width)) == (2 * d - 1) * (width - 1)
+        for s in range(1, 6):
+            for m in range(2, 5):
+                assert _control_entries(synth_init_state_circuit(s, m)) == (m - 1) * (s + s * (s - 1) // 2)
+        f = rng.integers(0, 2, size=2**7)
+        assert _control_entries(synth_boolean_oracle(f, 7)) == int(f.sum()) * 7
+
+    def test_domain_errors_come_before_the_bound(self, monkeypatch):
+        monkeypatch.setattr(circuits, "CONTROL_ENTRIES_LIMIT", 0)
+        with pytest.raises(DomainError, match="out of range"):
+            synth_transposition(Transposition(0, 2**40 - 1), 3)
+        with pytest.raises(DomainError, match="width"):
+            synth_transposition(Transposition(0, 3), 2.5)
+        with pytest.raises(DomainError, match="out of range"):
+            synth_permutation(Permutation(np.arange(8)[::-1]), 2)

@@ -13,6 +13,7 @@ from qpmatch import (
     synth_boolean_oracle,
     synth_init_state_circuit,
 )
+from qpmatch import circuits
 from qpmatch.cli import main
 
 
@@ -217,6 +218,12 @@ class TestSynthCommand:
             capsys, "synth", "init-state", "--s", "8", "--m", "3", "--verify"
         )
         assert code == 3
+
+    def test_control_entry_bound_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(circuits, "CONTROL_ENTRIES_LIMIT", 20)
+        code, stdout, err = run_cli(capsys, "synth", "transposition", "--width", "4", "--a", "0", "--b", "15")
+        assert code == 3 and stdout == ""
+        assert err == "resource limit: transposition needs 21 control entries, beyond the limit of 20\n"
 
     def test_emitted_circuit_reparses(self, capsys, tmp_path):
         emit = tmp_path / "oracle.qc"

@@ -22,7 +22,7 @@ from qpmatch import (
     wilson_interval,
 )
 from qpmatch import search
-from qpmatch.search import GroverSchedule, _evolve, _state_buffer, _walk_schedules, trial_rng
+from qpmatch.search import _evolve, _state_buffer, _walk_schedules, trial_rng
 
 AMPLIFICATION_XFAIL = (
     "diffusion on the first register only cannot amplify matched windows; "
@@ -36,26 +36,26 @@ def planted_instance(n, m, offset, seed=0, alphabet=4):
     codes = rng.integers(0, alphabet, size=n)
     pat = np.arange(100, 100 + m)
     codes[offset : offset + m] = pat
-    text = Text.from_codes(codes)
-    return text, Pattern.from_codes(pat), build_index(text)
+    text = Text(codes)
+    return text, Pattern(pat), build_index(text)
 
 
 class TestDrawSchedule:
     def test_degenerate_bound(self):
         for seed in range(50):
             sched = draw_schedule(trial_rng(seed), 8, 8)
-            assert sched.r in (0, 1)
+            assert len(sched) in (0, 1)
 
     def test_figure_scale_bound(self):
         assert max_iterations(212, 10) == 14
-        rs = {draw_schedule(trial_rng(seed), 212, 10).r for seed in range(300)}
+        rs = {len(draw_schedule(trial_rng(seed), 212, 10)) for seed in range(300)}
         assert rs <= set(range(15))
 
     def test_j_range(self):
         for seed in range(30):
             sched = draw_schedule(trial_rng(seed), 20, 5)
-            assert all(1 <= j <= 5 for j in sched.j_choices)
-            assert len(sched.j_choices) == sched.r
+            assert all(1 <= j <= 5 for j in sched)
+            assert len(sched) <= max_iterations(20, 5)
 
     @pytest.mark.parametrize("r_mode", ["bogus", 2.5, True, -1])
     def test_rejects_bad_r_modes(self, r_mode):
@@ -71,7 +71,7 @@ class TestDrawSchedule:
         counts = np.zeros(6)
         trials = 100_000
         for seed in range(trials):
-            counts[draw_schedule(trial_rng(seed), n, m).r] += 1
+            counts[len(draw_schedule(trial_rng(seed), n, m))] += 1
         p = 1 / 6
         sigma = np.sqrt(trials * p * (1 - p))
         assert np.abs(counts - trials * p).max() < 5 * sigma
@@ -79,9 +79,9 @@ class TestDrawSchedule:
 
 class TestGroverStep:
     def test_absent_symbol_is_pure_diffusion(self):
-        text = Text.from_codes([0, 1, 2, 1, 0])
+        text = Text([0, 1, 2, 1, 0])
         idx = build_index(text)
-        pattern = Pattern.from_codes([9, 9])
+        pattern = Pattern([9, 9])
         state = init_state(5, 2)
         from qpmatch import apply_diffusion
 
@@ -89,9 +89,9 @@ class TestGroverStep:
         assert np.array_equal(out.amps, apply_diffusion(state).amps)
 
     def test_double_step_absent_symbol_is_identity(self):
-        text = Text.from_codes([0, 1, 2, 1, 0])
+        text = Text([0, 1, 2, 1, 0])
         idx = build_index(text)
-        pattern = Pattern.from_codes([9, 9])
+        pattern = Pattern([9, 9])
         state = init_state(5, 2)
         out = grover_step(grover_step(state, 2, pattern, idx), 2, pattern, idx)
         assert np.allclose(out.amps, state.amps, atol=1e-12)
@@ -102,10 +102,10 @@ class TestGroverStep:
         text, pattern, idx = planted_instance(16, 2, 9)
         state = init_state(16, 2)
         steps = int(np.floor(np.pi / 4 * np.sqrt(15)))
-        last = measure_first_register(state).probabilities[9]
+        last = measure_first_register(state)[9]
         for t in range(steps):
             state = grover_step(state, 1 + t % 2, pattern, idx)
-            prob = measure_first_register(state).probabilities[9]
+            prob = measure_first_register(state)[9]
             assert prob > last
             last = prob
 
@@ -116,7 +116,7 @@ class TestRunOnce:
         for trial in range(20):
             out = run_once(text, pattern, idx, seed=5, trial=trial, r_mode=0)
             assert 0 <= out.measured_position <= 28
-            assert out.schedule.r == 0
+            assert out.schedule == ()
 
     def test_deterministic(self):
         text, pattern, idx = planted_instance(40, 3, 7)
@@ -128,6 +128,19 @@ class TestRunOnce:
         text, pattern, idx = planted_instance(32, 4, 10)
         out = run_once(text, pattern, idx, seed=1, trial=0)
         assert out.success == (out.measured_position == 10)
+
+    @pytest.mark.parametrize(
+        ("seed", "trial"), [(1.5, 0), (True, 0), (-1, 0), ("3", 0), (0, -1), (0, 2.0), (0, True)]
+    )
+    def test_seed_and_trial_must_be_counts(self, seed, trial):
+        text, pattern, idx = planted_instance(12, 2, 3)
+        with pytest.raises(DomainError, match="seed and trial must be integers"):
+            trial_rng(seed, trial)
+        with pytest.raises(DomainError, match="seed and trial must be integers"):
+            run_once(text, pattern, idx, seed=seed, trial=trial)
+
+    def test_numpy_integer_seeds_draw_the_same_stream(self):
+        assert trial_rng(np.int64(3), np.uint8(2)).random() == trial_rng(3, 2).random()
 
 
 class TestEstimateDistribution:
@@ -141,9 +154,9 @@ class TestEstimateDistribution:
     def test_no_match_law(self):
         # No pattern symbol occurs anywhere and r is pinned to 0: every
         # schedule yields psi0 exactly, so the estimate has zero spread.
-        text = Text.from_codes(np.arange(12) % 3)
+        text = Text(np.arange(12) % 3)
         idx = build_index(text)
-        pattern = Pattern.from_codes([7, 8])
+        pattern = Pattern([7, 8])
         dist = estimate_distribution(text, pattern, idx, RunConfig(trials=50, seed=4, r_mode=0))
         assert np.allclose(dist.probabilities[:11], 1 / 11, atol=1e-12)
         assert (dist.stderr[:11] < 1e-15).all()
@@ -170,6 +183,13 @@ class TestEstimateDistribution:
         with pytest.raises(DomainError, match="trials"):
             RunConfig(trials=trials, seed=0)
 
+    @pytest.mark.parametrize("r_mode", ["random", 0])
+    def test_index_must_fit_the_text(self, r_mode):
+        text, pattern, _ = planted_instance(8, 2, 3)
+        other = build_index(planted_instance(9, 2, 3)[0])
+        with pytest.raises(DomainError, match="indicator length does not match text length"):
+            estimate_distribution(text, pattern, other, RunConfig(trials=4, seed=0, r_mode=r_mode))
+
     def test_config_accepts_counts(self):
         assert RunConfig(trials=1, seed=np.int64(4), r_mode=np.int64(0)).r_mode_label() == "fixed:0"
         assert RunConfig(trials=1, seed=0, r_mode=5).r_mode_label() == "fixed:5"
@@ -189,7 +209,7 @@ class TestEstimateDistribution:
         state = init_state(19, 4)
         for t in range(r):
             state = grover_step(state, 1 + t % 4, pattern, idx)
-        probabilities = measure_first_register(state).probabilities
+        probabilities = measure_first_register(state)
         assert probabilities[5] > 0.5
 
 
@@ -198,9 +218,9 @@ class TestSuccessProbability:
         # With every query a no-op, only diffusions act; by symmetry the
         # window positions remain exchangeable even though the distribution
         # is no longer exactly the psi0 law for odd iteration counts.
-        text = Text.from_codes(np.arange(12) % 3)
+        text = Text(np.arange(12) % 3)
         idx = build_index(text)
-        pattern = Pattern.from_codes([7, 8])
+        pattern = Pattern([7, 8])
         dist = estimate_distribution(text, pattern, idx, RunConfig(trials=30, seed=1))
         assert np.allclose(dist.probabilities[:11], dist.probabilities[0], atol=1e-12)
         assert abs(dist.probabilities.sum() - 1) < 1e-9
@@ -208,9 +228,9 @@ class TestSuccessProbability:
     def test_degenerate_full_text_pattern(self):
         # M = N: K = 1, success means measuring position 0.
         codes = np.arange(6)
-        text = Text.from_codes(codes)
+        text = Text(codes)
         idx = build_index(text)
-        pattern = Pattern.from_codes(codes)
+        pattern = Pattern(codes)
         est = success_probability(text, pattern, idx, trials=200, seed=3)
         assert est.trials == 200
         assert 0 <= est.estimate <= 1
@@ -234,18 +254,18 @@ def _edge_instances():
     cases = [
         ("planted N=212", *planted_instance(212, 10, 190, seed=1)[:2]),
         ("planted N=256", *planted_instance(256, 4, 200, seed=0)[:2]),
-        ("random N=255", Text.from_codes(rng.integers(0, 4, size=255)),
-         Pattern.from_codes(rng.integers(0, 4, size=3))),
-        ("K=2", Text.from_codes(rng.integers(0, 3, size=40)),
-         Pattern.from_codes(rng.integers(0, 3, size=39))),
-        ("|T|=0", Text.from_codes(rng.integers(0, 4, size=50)), Pattern.from_codes([9, 1, 2])),
-        ("|T|=N", Text.from_codes(np.zeros(33, dtype=np.int64)), Pattern.from_codes([0, 1])),
+        ("random N=255", Text(rng.integers(0, 4, size=255)),
+         Pattern(rng.integers(0, 4, size=3))),
+        ("K=2", Text(rng.integers(0, 3, size=40)),
+         Pattern(rng.integers(0, 3, size=39))),
+        ("|T|=0", Text(rng.integers(0, 4, size=50)), Pattern([9, 1, 2])),
+        ("|T|=N", Text(np.zeros(33, dtype=np.int64)), Pattern([0, 1])),
     ]
     for n in (61, 97, 212):  # K = 1 at odd and even N
         codes = rng.integers(0, 4, size=n)
-        cases.append((f"K=1 N={n}", Text.from_codes(codes), Pattern.from_codes(np.roll(codes, 1))))
-    padded = pad_to_power_of_two(Text.from_codes(rng.integers(0, 4, size=100)), 5)
-    cases.append(("padded", padded, Pattern.from_codes(rng.integers(0, 4, size=5))))
+        cases.append((f"K=1 N={n}", Text(codes), Pattern(np.roll(codes, 1))))
+    padded = pad_to_power_of_two(Text(rng.integers(0, 4, size=100)), 5)
+    cases.append(("padded", padded, Pattern(rng.integers(0, 4, size=5))))
     return [(label, text, pattern, build_index(text)) for label, text, pattern in cases]
 
 
@@ -258,7 +278,7 @@ def _mode_id(r_mode):
 
 
 def _reduced(schedule):
-    return tuple(j == 1 for j in schedule.j_choices)
+    return tuple(j == 1 for j in schedule)
 
 
 def _first_symbol_positions(pattern, idx):
@@ -266,7 +286,7 @@ def _first_symbol_positions(pattern, idx):
 
 
 def _expected(n, m, schedule, pattern, idx):
-    return measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
+    return measure_first_register(_evolve(n, m, schedule, pattern, idx))
 
 
 class TestFusedTrialLoop:
@@ -309,7 +329,7 @@ class TestFusedTrialLoop:
                 assert set(got) == set(group), label
                 for key in group:
                     js = tuple(1 if flag else 2 + t % (m - 1) for t, flag in enumerate(key))
-                    expected = _expected(n, m, GroverSchedule(js), pattern, idx)
+                    expected = _expected(n, m, js, pattern, idx)
                     assert np.array_equal(got[key], expected), (label, key)
 
     @pytest.mark.parametrize("r_mode", ["random", 6], ids=_mode_id)
@@ -322,7 +342,7 @@ class TestFusedTrialLoop:
             acc, acc_sq = np.zeros(n), np.zeros(n)
             for trial in range(trials):
                 schedule = draw_schedule(trial_rng(seed, trial), n, m, r_mode)
-                probs = measure_first_register(_evolve(n, m, schedule, pattern, idx)).probabilities
+                probs = measure_first_register(_evolve(n, m, schedule, pattern, idx))
                 acc += probs
                 acc_sq += probs * probs
             mean = acc / trials

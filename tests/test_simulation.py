@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -13,10 +11,8 @@ from qpmatch import (
     apply_query_phase,
     build_index,
     embed_full,
-    export_snapshot_csv,
     full_apply_diffusion,
     full_apply_query,
-    full_init_state,
     init_state,
     measure_first_register,
 )
@@ -139,14 +135,14 @@ class TestDiffusion:
 
 class TestMeasurement:
     def test_initial_state_uniform_prefix(self):
-        probs = measure_first_register(init_state(4, 2)).probabilities
+        probs = measure_first_register(init_state(4, 2))
         assert np.allclose(probs[:3], 1 / 3)
         assert probs[3] == 0
 
     def test_point_mass(self):
         amps = np.zeros((5, 3), dtype=complex)
         amps[4, 1] = 1.0
-        probs = measure_first_register(TailEntangledState(5, 3, amps)).probabilities
+        probs = measure_first_register(TailEntangledState(5, 3, amps))
         assert probs[4] == 1 and probs.sum() == 1
 
     def test_matches_full_reference_marginal(self):
@@ -156,13 +152,13 @@ class TestMeasurement:
             ref = embed_full(state)
             marginal = np.abs(ref.amps.reshape(n, -1)) ** 2
             assert np.allclose(
-                measure_first_register(state).probabilities, marginal.sum(axis=1), atol=1e-10
+                measure_first_register(state), marginal.sum(axis=1), atol=1e-10
             )
 
 
 class TestFullReference:
     def test_query_involution(self):
-        ref = full_init_state(5, 2)
+        ref = embed_full(init_state(5, 2))
         ind = indicator_from("ababa", "a")
         twice = full_apply_query(full_apply_query(ref, 2, ind), 2, ind)
         assert np.array_equal(twice.amps, ref.amps)
@@ -180,10 +176,10 @@ class TestFullReference:
     def test_lockstep_equivalence_random_schedules(self):
         rng = np.random.default_rng(5)
         for n, m in [(4, 2), (6, 2), (6, 3), (8, 3)]:
-            text = Text.from_codes(rng.integers(0, 3, size=n))
+            text = Text(rng.integers(0, 3, size=n))
             idx = build_index(text)
             state = init_state(n, m)
-            ref = full_init_state(n, m)
+            ref = embed_full(state)
             for _ in range(50):
                 if rng.random() < 0.5:
                     j = int(rng.integers(1, m + 1))
@@ -198,7 +194,7 @@ class TestFullReference:
 
     def test_dimension_limit(self):
         with pytest.raises(ResourceError):
-            full_init_state(64, 5)
+            embed_full(init_state(64, 5))
 
 
 class TestDegenerateAndExport:
@@ -210,15 +206,3 @@ class TestDegenerateAndExport:
         expected = np.full((5, 1), 2 / 5, dtype=complex)
         expected[0, 0] = 2 / 5 - 1
         assert np.allclose(out.amps, expected)
-
-    def test_snapshot_csv(self):
-        state = init_state(4, 2)
-        buf = io.StringIO()
-        export_snapshot_csv(state, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "i,k,re,im"
-        assert len(lines) == 4  # header + three nonzero entries
-        i, k, re, im = lines[1].split(",")
-        assert (int(i), int(k)) == (0, 0)
-        assert float(re) == pytest.approx(1 / np.sqrt(3))
-        assert float(im) == 0.0

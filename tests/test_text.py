@@ -41,19 +41,27 @@ class TestCodeDtype:
 
     def test_symbols_are_a_read_only_copy(self):
         codes = np.array([1, 2, 3], dtype=np.uint8)
-        text = Text.from_codes(codes)
+        text = Text(codes)
         codes[0] = 9
         assert text.symbols.tolist() == [1, 2, 3]
         assert not text.symbols.flags.writeable
 
     def test_sentinel_code_is_rejected(self):
         with pytest.raises(DomainError, match="may not contain the padding sentinel"):
-            Text.from_codes([3, SENTINEL])
+            Text([3, SENTINEL])
+
+    def test_pattern_may_not_hold_the_sentinel(self):
+        with pytest.raises(DomainError, match="may not contain the padding sentinel"):
+            Pattern([3, SENTINEL])
+        # Padding is no symbol: a pattern cannot be matched against it.
+        with pytest.raises(DomainError, match="may not contain the padding sentinel"):
+            Pattern([SENTINEL, SENTINEL])
+        assert Pattern([3, -2]).symbols.tolist() == [3, -2]
 
     def test_alphabet_is_the_distinct_codes_of_the_body(self):
         assert T("abca").alphabet == frozenset(b"abc")
-        assert Text.from_codes([300, -5, 300]).alphabet == frozenset({300, -5})
-        assert pad_to_power_of_two(Text.from_codes([300, 2, 3, 300, 5]), 2).alphabet == frozenset({2, 3, 5, 300})
+        assert Text([300, -5, 300]).alphabet == frozenset({300, -5})
+        assert pad_to_power_of_two(Text([300, 2, 3, 300, 5]), 2).alphabet == frozenset({2, 3, 5, 300})
 
     @pytest.mark.parametrize(
         "codes",
@@ -63,16 +71,42 @@ class TestCodeDtype:
     @pytest.mark.parametrize("cls", [Text, Pattern])
     def test_codes_must_be_int64_integers(self, cls, codes):
         with pytest.raises(DomainError, match="integers in the int64 range"):
-            cls.from_codes(codes)
+            cls(codes)
 
     def test_wide_integer_codes_are_kept(self):
         codes = np.array([7, 2**62], dtype=np.uint64)
-        assert Pattern.from_codes(codes).symbols.tolist() == [7, 2**62]
+        assert Pattern(codes).symbols.tolist() == [7, 2**62]
 
     @pytest.mark.parametrize("cls", [Text, Pattern])
     def test_empty_codes_need_one_symbol(self, cls):
         with pytest.raises(DomainError, match="at least one symbol"):
-            cls.from_codes([])
+            cls([])
+
+
+class TestEquality:
+    def test_texts_compare_by_value(self):
+        assert Text([1, 2, 3]) == Text(np.array([1, 2, 3], dtype=np.int64))
+        assert T("ab") == Text([97, 98])
+        assert Text([1, 2, 3]) != Text([1, 2, 4])
+        assert Text([1, 2, 3]) != Text([1, 2])
+        padded = pad_to_power_of_two(Text([300, 2, 3, 300, 5]), 2)
+        assert padded == pad_to_power_of_two(Text([300, 2, 3, 300, 5]), 2)
+        assert pad_to_power_of_two(T("abcab"), 2) != Text([97, 98, 99, 97, 98, 7])
+
+    def test_patterns_compare_by_value(self):
+        assert Pattern([7, 300]) == Pattern(np.array([7, 300]))
+        assert P("ab") == Pattern([97, 98])
+        assert Pattern([7, 300]) != Pattern([7, 301])
+        assert Pattern([7]) != Pattern([7, 7])
+
+    def test_a_text_is_not_a_pattern(self):
+        assert Text([1, 2]) != Pattern([1, 2])
+        assert Pattern([1, 2]) != Text([1, 2])
+
+    @pytest.mark.parametrize("value", [Text([1, 2, 3]), Pattern([1, 2, 3])])
+    def test_not_hashable(self, value):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
 
 
 class TestBuildIndex:
@@ -88,7 +122,7 @@ class TestBuildIndex:
 
     def test_partition_property(self):
         rng = np.random.default_rng(7)
-        text = Text.from_codes(rng.integers(0, 4, size=64))
+        text = Text(rng.integers(0, 4, size=64))
         idx = build_index(text)
         total = sum(ind.bits.astype(int) for ind in idx.indicators.values())
         assert (total == 1).all()
@@ -114,7 +148,7 @@ class TestFSigma:
     def test_agrees_with_direct_scan(self):
         rng = np.random.default_rng(3)
         codes = rng.integers(0, 5, size=40)
-        idx = build_index(Text.from_codes(codes))
+        idx = build_index(Text(codes))
         for _ in range(100):
             i = int(rng.integers(0, 40))
             sym = int(rng.integers(0, 5))
@@ -142,7 +176,7 @@ class TestHammingScore:
             pat = rng.integers(0, 3, size=4)
             o = int(rng.integers(0, 17))
             expected = sum(int(codes[o + j] == pat[j]) for j in range(4))
-            assert hamming_score(Text.from_codes(codes), Pattern.from_codes(pat), o) == expected
+            assert hamming_score(Text(codes), Pattern(pat), o) == expected
 
     def test_offset_out_of_range(self):
         with pytest.raises(DomainError):
@@ -165,7 +199,7 @@ class TestClosestMatch:
             m = int(rng.integers(1, min(n, 8) + 1))
             codes = rng.integers(0, 4, size=n)
             pat = rng.integers(0, 4, size=m)
-            text, pattern = Text.from_codes(codes), Pattern.from_codes(pat)
+            text, pattern = Text(codes), Pattern(pat)
             scores = [sum(int(codes[o + j] == pat[j]) for j in range(m)) for o in range(n - m + 1)]
             best = max(scores)
             res = closest_match_classical(text, pattern)
@@ -200,7 +234,7 @@ class TestRecodeKgrams:
             codes = rng.integers(0, 3, size=40)
             pat = np.array([5, 6, 7, 5])
             codes[12:16] = pat  # planted occurrence with unique symbols
-            text, pattern = Text.from_codes(codes), Pattern.from_codes(pat)
+            text, pattern = Text(codes), Pattern(pat)
             rt, rp = recode_kgrams(text, pattern, k)
             orig = [o for o in range(37) if hamming_score(text, pattern, o) == 4]
             rec = [o for o in range(rt.n - rp.m + 1) if hamming_score(rt, rp, o) == rp.m]
