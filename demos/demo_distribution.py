@@ -20,11 +20,12 @@ def main() -> None:
     pattern = Pattern(pat)
     index = build_index(text)
 
-    dist = estimate_distribution(text, pattern, index, RunConfig(trials=2000, seed=7))
+    config = RunConfig(trials=2000, seed=7)
+    dist = estimate_distribution(text, pattern, index, config)
     k = n - m + 1
     probs = dist.probabilities[:k]
 
-    print(f"N={n}, M={m}, planted offset {offset}, {dist.trials} schedules, seed {dist.seed}")
+    print(f"N={n}, M={m}, planted offset {offset}, {config.trials} schedules, seed {config.seed}")
     print(f"argmax position: {int(np.argmax(probs))}")
     print(f"probability at planted offset: {probs[offset]:.5f}")
     print(f"median elsewhere:              {float(np.median(np.delete(probs, offset))):.5f}\n")

@@ -39,8 +39,9 @@ MCX = "MCX"
 UNITARY_QUBIT_LIMIT = 12
 STATEVECTOR_QUBIT_LIMIT = 20
 
-#: Hard cap on the control entries, summed over gates, of a synthesized circuit; counted before
-#: any gate is built.  An entry takes at most about 100 bytes, so a circuit at the cap about 210 MB.
+#: Hard cap on the control entries, summed over gates, of a synthesized or MCX-expanded circuit;
+#: counted before any gate is built.  An entry takes at most about 100 bytes, so a circuit at the
+#: cap about 210 MB.
 CONTROL_ENTRIES_LIMIT = 2**21
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -488,8 +489,8 @@ def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
     n = circuit.n_qubits
     if n > STATEVECTOR_QUBIT_LIMIT:
         raise ResourceError(f"{n} qubits exceeds the statevector limit of {STATEVECTOR_QUBIT_LIMIT}")
-    if not 0 <= basis_input < 2**n:
-        raise DomainError("basis input out of range")
+    if not (_is_count(basis_input) and basis_input < 2**n):
+        raise DomainError(f"basis input out of range: need an integer in [0, {2**n}), got {basis_input!r}")
     state = np.zeros(2**n)
     state[basis_input] = 1.0
     _apply_gates(state, circuit.gates, n, basis_input)
@@ -547,8 +548,10 @@ def expand_mcx(circuit: Circuit) -> Circuit:
     ladder is uncomputed.  Work qubits are appended after the data qubits
     and are returned to |0>.
     """
-    extra = max((len(g.controls) - 2 for g in circuit.gates), default=0)
-    extra = max(extra, 0)
+    sizes = [len(g.controls) for g in circuit.gates]
+    # An MCX of c >= 3 controls becomes 2(c - 2) + 1 Toffolis; the X flips take no controls.
+    _check_control_entries(sum(c if c <= 2 else 4 * c - 6 for c in sizes), "MCX expansion")
+    extra = max(max(sizes, default=0) - 2, 0)
     n = circuit.n_qubits
     gates = []
     for gate in circuit.gates:

@@ -139,8 +139,7 @@ def cmd_search(args) -> int:
     index = build_index(text)
     config = RunConfig(trials=args.trials, seed=seed, r_mode=r_mode)
     dist = estimate_distribution(text, pattern, index, config)
-    baseline = closest_match_classical(text, pattern)
-    success = dist.success
+    baseline, success = dist.baseline, dist.success
 
     spec = {
         "text": args.text,
@@ -151,13 +150,21 @@ def cmd_search(args) -> int:
         "kgram": args.kgram,
         "format": args.format,
     }
+    probabilities = dist.probabilities.tolist()
     argmax = int(np.argmax(dist.probabilities))
     bundle = {
         "spec": spec,
         "metadata": {"package": "qpmatch", "version": __version__},
         "n": text.n,
         "m": pattern.m,
-        "distribution": dist.to_json_dict(),
+        "distribution": {
+            "n": text.n,
+            "m": pattern.m,
+            "trials": args.trials,
+            "seed": seed,
+            "r_mode": config.r_mode_label(),
+            "probabilities": probabilities,
+        },
         "classical_baseline": {
             "best_score": baseline.best_score,
             "offsets": list(baseline.offsets),
@@ -174,7 +181,8 @@ def cmd_search(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             if args.format == "csv":
-                dist.write_csv(fh)
+                fh.write("position,probability\n")
+                fh.writelines(f"{pos},{p!r}\n" for pos, p in enumerate(probabilities))
             else:
                 fh.write(_json_dumps(bundle))
     print(f"measured argmax: {argmax}")

@@ -9,7 +9,6 @@ the r register choices j, then the measurement sample.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ from .simulation import (
     init_state,
     measure_first_register,
 )
-from .text import OracleIndex, Pattern, Text, closest_match_classical
+from .text import ClassicalMatchResult, OracleIndex, Pattern, Text, closest_match_classical
 
 R_MODE_RANDOM = "random"
 WILSON_Z = 1.959963984540054  # the two-sided 95% standard normal quantile
@@ -75,30 +74,10 @@ class MatchDistribution:
     """Measured position probabilities averaged over a run's trials, the main observable output."""
 
     probabilities: np.ndarray
-    n: int
-    m: int
-    trials: int
-    seed: int
-    r_mode: str
     stderr: np.ndarray
-    #: Sampled success of the same trials; kept out of the distribution's JSON.
+    #: Sampled success of the same trials, counted against ``baseline``'s tie set.
     success: SuccessEstimate
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "trials": self.trials,
-            "seed": self.seed,
-            "r_mode": self.r_mode,
-            "probabilities": [float(p) for p in self.probabilities],
-        }
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["position", "probability"])
-        for pos, p in enumerate(self.probabilities):
-            writer.writerow([pos, repr(float(p))])
+    baseline: ClassicalMatchResult
 
 
 def max_iterations(n: int, m: int) -> int:
@@ -266,7 +245,8 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     faster than counting sampled positions.  The result carries a per-position
     standard error of the trial mean.  The same trials also sample one
     measured position each, as :func:`run_once` does, and the fraction landing
-    in the classical tie set is attached as ``success``.
+    in the classical tie set is attached as ``success``, with the classical
+    result itself as ``baseline``.
 
     Trials run in blocks of K = N - M + 1: a block's schedules are drawn
     first, each distinct reduced schedule is evolved once by
@@ -288,8 +268,9 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     amps = _state_buffer(n, m)
     k = amps.shape[1]
     in_t = index.indicator_for(int(pattern.symbols[0])).bits.view(bool)
+    baseline = closest_match_classical(text, pattern)
     is_tie = np.zeros(n, dtype=bool)
-    is_tie[list(closest_match_classical(text, pattern).offsets)] = True
+    is_tie[list(baseline.offsets)] = True
     acc = np.zeros(n)
     acc_sq = np.zeros(n)
     successes = 0
@@ -310,16 +291,8 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     var = np.maximum(acc_sq / config.trials - mean**2, 0.0)
     stderr = np.sqrt(var / config.trials)
     low, high = wilson_interval(successes, config.trials)
-    return MatchDistribution(
-        mean,
-        n,
-        m,
-        trials=config.trials,
-        seed=config.seed,
-        r_mode=config.r_mode_label(),
-        stderr=stderr,
-        success=SuccessEstimate(successes, config.trials, successes / config.trials, low, high),
-    )
+    success = SuccessEstimate(successes, config.trials, successes / config.trials, low, high)
+    return MatchDistribution(mean, stderr, success, baseline)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple:

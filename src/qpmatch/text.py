@@ -26,6 +26,8 @@ INDEX_FORMAT_VERSION = 1
 def _frozen_codes(values) -> np.ndarray:
     """Read-only copy of symbol codes: uint8 when every code is in 0..255, else int64."""
     codes = np.asarray(values)
+    if codes.ndim != 1:
+        raise DomainError(f"symbol codes must be one-dimensional, got shape {codes.shape}")
     if codes.dtype != np.uint8:
         if codes.size and (codes.dtype.kind not in "iu" or codes.max() > np.iinfo(np.int64).max):
             raise DomainError(f"symbol codes must be integers in the int64 range, got {codes.dtype} codes")

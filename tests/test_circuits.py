@@ -297,6 +297,14 @@ class TestDenseSimulation:
         with pytest.raises(ResourceError):
             simulate_statevector(Circuit(21))
 
+    @pytest.mark.parametrize("basis_input", [True, False, 0.5, 1.0, -1, 2, np.int64(2), "1", None])
+    def test_basis_input_is_an_integer_in_range(self, basis_input):
+        with pytest.raises(DomainError, match="basis input out of range"):
+            simulate_statevector(Circuit(1), basis_input)
+
+    def test_basis_input_may_be_a_numpy_integer(self):
+        assert np.array_equal(simulate_statevector(Circuit(1), np.int64(1)), [0, 1])
+
     def test_unitary_limit(self):
         with pytest.raises(ResourceError):
             simulate_unitary(Circuit(13))
@@ -587,6 +595,26 @@ class TestControlEntryBound:
                 assert _control_entries(synth_init_state_circuit(s, m)) == (m - 1) * (s + s * (s - 1) // 2)
         f = rng.integers(0, 2, size=2**7)
         assert _control_entries(synth_boolean_oracle(f, 7)) == int(f.sum()) * 7
+
+    @pytest.mark.parametrize("name", ["transpositions", "oracle", "init-state"])
+    def test_mcx_expansion_counted_and_refused_unbuilt(self, monkeypatch, name):
+        rng = np.random.default_rng(5)
+        if name == "transpositions":
+            inputs = [synth_transposition(Transposition(*(int(v) for v in rng.choice(2**w, 2, replace=False))), w)
+                      for w in range(3, 17)]
+        elif name == "oracle":
+            inputs = [synth_boolean_oracle(rng.integers(0, 2, size=2**8), 8)]
+        else:
+            inputs = [synth_init_state_circuit(4, 5)]
+        for circuit in inputs:
+            entries = _control_entries(expand_mcx(circuit))
+            monkeypatch.setattr(circuits, "CONTROL_ENTRIES_LIMIT", entries)
+            assert _control_entries(expand_mcx(circuit)) == entries
+            monkeypatch.setattr(circuits, "CONTROL_ENTRIES_LIMIT", entries - 1)
+            monkeypatch.setattr(circuits, "Gate", _no_gate)
+            with pytest.raises(ResourceError, match=f"MCX expansion needs {entries} control entries"):
+                expand_mcx(circuit)
+            monkeypatch.undo()
 
     def test_domain_errors_come_before_the_bound(self, monkeypatch):
         monkeypatch.setattr(circuits, "CONTROL_ENTRIES_LIMIT", 0)

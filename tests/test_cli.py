@@ -7,13 +7,14 @@ from qpmatch import (
     OracleIndex,
     Text,
     build_index,
+    closest_match_classical,
     gate_count,
     init_state_target,
     simulate_statevector,
     synth_boolean_oracle,
     synth_init_state_circuit,
 )
-from qpmatch import circuits
+from qpmatch import circuits, cli, search
 from qpmatch.cli import main
 
 
@@ -142,6 +143,25 @@ class TestSearchCommand:
         run_cli(capsys, "search", "--text", str(path), "--pattern", "abd",
                 "--trials", "5", "--out", str(out))
         assert json.loads(out.read_text())["spec"]["seed"] == 42
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_classical_scan_per_command(self, capsys, tmp_path, monkeypatch, fmt):
+        calls = []
+
+        def counting(text, pattern):
+            calls.append((text, pattern))
+            return closest_match_classical(text, pattern)
+
+        monkeypatch.setattr(search, "closest_match_classical", counting)
+        monkeypatch.setattr(cli, "closest_match_classical", counting)
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"abcabdabcabc")
+        code, _, _ = run_cli(
+            capsys, "search", "--text", str(path), "--pattern", "abd", "--trials", "5",
+            "--seed", "1", "--format", fmt, "--out", str(tmp_path / "r.out"),
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_pattern_longer_than_text(self, capsys, tmp_path):
         path = tmp_path / "t.bin"

@@ -10,6 +10,7 @@ from qpmatch import (
     RunConfig,
     Text,
     build_index,
+    closest_match_classical,
     draw_schedule,
     estimate_distribution,
     grover_step,
@@ -198,8 +199,15 @@ class TestEstimateDistribution:
     def test_metadata(self):
         text, pattern, idx = planted_instance(30, 3, 12)
         dist = estimate_distribution(text, pattern, idx, RunConfig(trials=5, seed=2, r_mode=3))
-        assert dist.trials == 5 and dist.seed == 2 and dist.r_mode == "fixed:3"
         assert abs(dist.probabilities.sum() - 1) < 1e-9
+
+    @pytest.mark.parametrize("r_mode", ["random", 2])
+    @pytest.mark.parametrize("pat", [[0, 1], [7, 8]], ids=["ties", "absent"])
+    def test_baseline_is_the_classical_scan(self, pat, r_mode):
+        text, pattern = Text(np.arange(12) % 3), Pattern(pat)
+        config = RunConfig(trials=5, seed=2, r_mode=r_mode)
+        dist = estimate_distribution(text, pattern, build_index(text), config)
+        assert dist.baseline == closest_match_classical(text, pattern)
 
     @pytest.mark.xfail(strict=True, reason=AMPLIFICATION_XFAIL)
     def test_exact_match_amplification(self):
@@ -383,7 +391,7 @@ class TestFusedTrialLoop:
         config = RunConfig(trials=5, seed=0, r_mode=100)
         # 8 bytes per step for each of the block's 5 trials, plus two in flight.
         monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 8 * 100 * 7)
-        assert estimate_distribution(text, pattern, idx, config).trials == 5
+        assert estimate_distribution(text, pattern, idx, config).success.trials == 5
         monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 8 * 100 * 7 - 1)
         monkeypatch.setattr(search, "draw_schedule", None)  # never reached
         with pytest.raises(ResourceError, match="r = 100"):

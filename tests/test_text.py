@@ -77,6 +77,13 @@ class TestCodeDtype:
         codes = np.array([7, 2**62], dtype=np.uint64)
         assert Pattern(codes).symbols.tolist() == [7, 2**62]
 
+    @pytest.mark.parametrize("codes", [np.array([[1, 2], [3, 4]]), np.array(5), [[1, 2]], 7],
+                             ids=["matrix", "0-d array", "nested list", "scalar"])
+    @pytest.mark.parametrize("cls", [Text, Pattern])
+    def test_codes_must_be_one_dimensional(self, cls, codes):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            cls(codes)
+
     @pytest.mark.parametrize("cls", [Text, Pattern])
     def test_empty_codes_need_one_symbol(self, cls):
         with pytest.raises(DomainError, match="at least one symbol"):
