@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import DomainError, ResourceError
 from .text import (
-    SENTINEL,
     ClassicalMatchResult,
     OracleIndex,
     Pattern,
@@ -14,7 +13,6 @@ from .text import (
     closest_match_classical,
     f_sigma,
     hamming_score,
-    pad_to_power_of_two,
     recode_kgrams,
 )
 from .simulation import (

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -87,10 +88,11 @@ def _resolve_seed(args) -> int:
 def _parse_r_mode(raw: str):
     if raw == "random":
         return "random"
-    if raw.startswith("fixed:"):
+    # Canonical ASCII decimal only: int() also reads " 3", "+2", "1_0", "03" and other scripts' digits.
+    if re.fullmatch(r"fixed:(0|[1-9][0-9]*)", raw):
         try:
-            return int(raw.split(":", 1)[1])
-        except ValueError:
+            return int(raw[len("fixed:") :])
+        except ValueError:  # more digits than int() converts
             pass
     raise _UsageError(f"invalid --r value {raw!r}; expected 'random' or 'fixed:<k>'")
 

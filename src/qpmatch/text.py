@@ -15,17 +15,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _is_count
-
-#: Reserved padding code; never a member of any alphabet.
-SENTINEL = -1
+from .errors import DomainError
 
 INDEX_FORMAT_VERSION = 1
 
 
 def _frozen_codes(values) -> np.ndarray:
     """Read-only copy of symbol codes: uint8 when every code is in 0..255, else int64."""
-    codes = np.asarray(values)
+    try:
+        codes = np.asarray(values)
+    except ValueError:  # a ragged list has no shape
+        raise DomainError("symbol codes must be one-dimensional, got a ragged sequence") from None
     if codes.ndim != 1:
         raise DomainError(f"symbol codes must be one-dimensional, got shape {codes.shape}")
     if codes.dtype != np.uint8:
@@ -54,11 +54,6 @@ def _holds(symbols: np.ndarray, code: int) -> bool:
     return info.min <= code <= info.max
 
 
-def _refuse_sentinel(codes: np.ndarray) -> None:
-    if codes.dtype != np.uint8 and (codes == SENTINEL).any():  # a byte is never the sentinel
-        raise DomainError("alphabet may not contain the padding sentinel")
-
-
 def _same_codes(self, other):
     """``__eq__`` of :class:`Text` and :class:`Pattern`; a class body defining ``__eq__`` is unhashable."""
     return np.array_equal(self.symbols, other.symbols) if type(other) is type(self) else NotImplemented
@@ -69,30 +64,20 @@ class Text:
     """An immutable string of symbol codes of length N.
 
     ``symbols`` is a read-only copy of the codes: uint8 when every code is in
-    0..255 (every text read from bytes), int64 otherwise (sentinel-padded
-    texts, negative codes, k-gram recodings with more than 256 codes).
-
-    ``padded_from`` records the original length when sentinel padding has
-    been appended (see :func:`pad_to_power_of_two`); it is ``None`` for
-    unpadded texts.  The alphabet is derived from the codes, on first use.
-    Texts with equal codes compare equal; a text is not hashable.
+    0..255 (every text read from bytes), int64 otherwise (negative codes,
+    k-gram recodings with more than 256 codes).  The alphabet is derived from
+    the codes, on first use.  Texts with equal codes compare equal; a text is
+    not hashable.
     """
 
     symbols: np.ndarray
-    padded_from: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", _frozen_codes(self.symbols))
         if self.n < 1:
             raise DomainError("text must contain at least one symbol")
-        if self.padded_from is not None and not (_is_count(self.padded_from) and 1 <= self.padded_from < self.n):
-            raise DomainError(f"padded_from must be an integer in [1, {self.n}), got {self.padded_from!r}")
-        body = self.symbols[: self.padded_from]
-        _refuse_sentinel(body)
-        if not (self.symbols[len(body) :] == SENTINEL).all():
-            raise DomainError("padding region must hold only the sentinel code")
 
-    __eq__ = _same_codes  # the codes fix padded_from, the first sentinel's position
+    __eq__ = _same_codes
 
     @property
     def n(self) -> int:
@@ -100,9 +85,9 @@ class Text:
 
     @cached_property
     def alphabet(self) -> frozenset:
-        """The distinct codes of the unpadded body."""
-        body = self.symbols[: self.padded_from]
-        distinct = np.flatnonzero(np.bincount(body)) if body.dtype == np.uint8 else np.unique(body)
+        """The distinct codes of the text."""
+        codes = self.symbols
+        distinct = np.flatnonzero(np.bincount(codes)) if codes.dtype == np.uint8 else np.unique(codes)
         return frozenset(distinct.tolist())
 
     @classmethod
@@ -122,7 +107,7 @@ class Pattern:
     """An immutable sequence of symbol codes of length M.
 
     ``symbols`` follows the rule of :class:`Text`: a read-only copy, uint8
-    when every code is in 0..255 and int64 otherwise, never the sentinel.
+    when every code is in 0..255 and int64 otherwise.
     Patterns with equal codes compare equal; a pattern is not hashable.
     """
 
@@ -132,7 +117,6 @@ class Pattern:
         object.__setattr__(self, "symbols", _frozen_codes(self.symbols))
         if self.m < 1:
             raise DomainError("pattern must contain at least one symbol")
-        _refuse_sentinel(self.symbols)
 
     __eq__ = _same_codes
 
@@ -266,10 +250,7 @@ class ClassicalMatchResult:
 
 
 def build_index(text: Text) -> OracleIndex:
-    """Build the per-symbol membership index of ``text`` in one pass.
-
-    Sentinel padding positions belong to no indicator.
-    """
+    """Build the per-symbol membership index of ``text`` in one pass."""
     hits = np.empty(text.n, dtype=bool)
     indicators = {}
     for sym in sorted(text.alphabet):  # every symbol occurs, so the dtype holds it
@@ -345,21 +326,3 @@ def recode_kgrams(text: Text, pattern: Pattern, k: int):
     new_text = encode(text.symbols)
     new_pattern = encode(pattern.symbols)
     return Text(new_text), Pattern(new_pattern)
-
-
-def pad_to_power_of_two(text: Text, m: int) -> Text:
-    """Append sentinel symbols until N - m is an exact power of two.
-
-    Returns ``text`` unchanged when N - m already is one.  For m == N the
-    text is padded until N - m = 1 (= 2^0).
-    """
-    if m > text.n:
-        raise DomainError(f"pattern length {m} exceeds text length {text.n}")
-    gap = text.n - m
-    target = 1
-    while target < gap:
-        target *= 2
-    if target == gap:
-        return text
-    padded = np.concatenate([text.symbols, np.full(target - gap, SENTINEL, dtype=np.int64)])
-    return Text(padded, text.padded_from or text.n)  # padded_from is None or >= 1

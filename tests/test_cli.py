@@ -330,11 +330,14 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_fixed_r_not_an_integer(self, capsys, tmp_path):
+        # Only canonical ASCII decimal k: int() reads most of these, under a label they were not given.
         path = tmp_path / "t.bin"
         path.write_bytes(b"abab")
-        code, _, err = run_cli(capsys, "search", "--text", str(path), "--pattern", "ab",
-                               "--trials", "2", "--r", "fixed:abc")
-        self._assert_one_line_error(code, err, 1)
+        for r in ["fixed:abc", "fixed: 3", "fixed:+2", "fixed:1_0", "fixed:\u0663", "fixed:-3", "fixed:03"]:
+            code, _, err = run_cli(capsys, "search", "--text", str(path), "--pattern", "ab",
+                                   "--trials", "2", "--r", r)
+            self._assert_one_line_error(code, err, 1)
+            assert err.startswith("usage error: invalid --r value")
 
     def test_env_seed_not_an_integer(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "t.bin"

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpmatch import (
-    SENTINEL,
     Circuit,
     DomainError,
     Gate,
@@ -26,7 +25,6 @@ from qpmatch import (
     gate_count,
     lift_boolean,
     oracle_gate_count,
-    pad_to_power_of_two,
     parse_circuit,
     permutation_action,
     simulate_statevector,
@@ -203,8 +201,7 @@ def test_classical_scan_equals_brute_force(case):
 
 
 @bounded
-@given(st.lists(st.integers(0, 255) | st.integers(-(2**40), 2**40).filter(lambda c: c != SENTINEL),
-                min_size=1, max_size=20))
+@given(st.lists(st.integers(0, 255) | st.integers(-(2**40), 2**40), min_size=1, max_size=20))
 def test_codes_are_uint8_exactly_when_every_code_is_a_byte(codes):
     expected = np.uint8 if all(0 <= c <= 255 for c in codes) else np.int64
     for symbols in (Text(codes).symbols, Pattern(codes).symbols):
@@ -225,13 +222,9 @@ def test_index_of_an_alphabet_superset_zeroes_codes_the_text_cannot_hold(codes):
 
 
 @bounded
-@given(code_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)),
-       st.integers(0, 40))
-def test_index_json_round_trip(codes, m):
-    text = Text(codes)
-    if m <= text.n:
-        text = pad_to_power_of_two(text, m)
-    index = build_index(text)
+@given(code_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+def test_index_json_round_trip(codes):
+    index = build_index(Text(codes))
     back = OracleIndex.from_json(index.to_json())
     assert back.n == index.n
     assert sorted(back.indicators) == sorted(index.indicators)
@@ -253,18 +246,16 @@ def _index_json_by_dumps(text, alphabet):
     return json.dumps(payload, sort_keys=True)
 
 
-# Byte codes, int64 codes from 256 up to 2**40, and negative codes other than the sentinel.
-symbol_codes = st.integers(0, 255) | st.integers(256, 2**40) | st.just(2**40) | st.integers(-(2**40), SENTINEL - 1)
+# Byte codes, int64 codes from 256 up to 2**40, and negative codes down to -2**40.
+symbol_codes = st.integers(0, 255) | st.integers(256, 2**40) | st.just(2**40) | st.integers(-(2**40), -1)
 
 
 @st.composite
 def indexed_texts(draw):
-    """A text over a few drawn codes, sometimes sentinel-padded, and the sorted distinct codes drawn."""
+    """A text over a few drawn codes and the sorted distinct codes drawn."""
     pool = draw(st.lists(symbol_codes, min_size=1, max_size=6, unique=True))
     codes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=70))
-    text = Text(codes)
-    m = draw(st.integers(0, len(codes)))
-    return (pad_to_power_of_two(text, m) if m else text), sorted(set(codes))
+    return Text(codes), sorted(set(codes))
 
 
 @bounded

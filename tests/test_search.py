@@ -17,7 +17,6 @@ from qpmatch import (
     init_state,
     max_iterations,
     measure_first_register,
-    pad_to_power_of_two,
     run_once,
     success_probability,
     wilson_interval,
@@ -272,8 +271,9 @@ def _edge_instances():
     for n in (61, 97, 212):  # K = 1 at odd and even N
         codes = rng.integers(0, 4, size=n)
         cases.append((f"K=1 N={n}", Text(codes), Pattern(np.roll(codes, 1))))
-    padded = pad_to_power_of_two(Text(rng.integers(0, 4, size=100)), 5)
-    cases.append(("padded", padded, Pattern(rng.integers(0, 4, size=5))))
+    # The last 33 positions hold a code that no pattern position holds.
+    tail = Text(np.concatenate([rng.integers(0, 4, size=100), np.full(33, 4)]))
+    cases.append(("never-matching tail", tail, Pattern(rng.integers(0, 4, size=5))))
     return [(label, text, pattern, build_index(text)) for label, text, pattern in cases]
 
 

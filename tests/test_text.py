@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qpmatch import (
-    SENTINEL,
     DomainError,
     OracleIndex,
     Pattern,
@@ -16,7 +15,6 @@ from qpmatch import (
     closest_match_classical,
     f_sigma,
     hamming_score,
-    pad_to_power_of_two,
     recode_kgrams,
 )
 
@@ -34,11 +32,6 @@ class TestCodeDtype:
         assert T("abc").symbols.dtype == np.uint8
         assert P("abc").symbols.dtype == np.uint8
 
-    def test_padded_text_is_int64(self):
-        padded = pad_to_power_of_two(T("abcab"), 2)
-        assert padded.symbols.dtype == np.int64
-        assert padded.symbols.tolist() == [97, 98, 99, 97, 98, SENTINEL]
-
     def test_symbols_are_a_read_only_copy(self):
         codes = np.array([1, 2, 3], dtype=np.uint8)
         text = Text(codes)
@@ -46,22 +39,14 @@ class TestCodeDtype:
         assert text.symbols.tolist() == [1, 2, 3]
         assert not text.symbols.flags.writeable
 
-    def test_sentinel_code_is_rejected(self):
-        with pytest.raises(DomainError, match="may not contain the padding sentinel"):
-            Text([3, SENTINEL])
-
-    def test_pattern_may_not_hold_the_sentinel(self):
-        with pytest.raises(DomainError, match="may not contain the padding sentinel"):
-            Pattern([3, SENTINEL])
-        # Padding is no symbol: a pattern cannot be matched against it.
-        with pytest.raises(DomainError, match="may not contain the padding sentinel"):
-            Pattern([SENTINEL, SENTINEL])
-        assert Pattern([3, -2]).symbols.tolist() == [3, -2]
+    def test_minus_one_is_an_ordinary_code(self):
+        assert Text([3, -1]).symbols.tolist() == [3, -1]
+        assert Pattern([-1, 3]).symbols.tolist() == [-1, 3]
+        assert Text([3, -1]).alphabet == frozenset({3, -1})
 
     def test_alphabet_is_the_distinct_codes_of_the_body(self):
         assert T("abca").alphabet == frozenset(b"abc")
         assert Text([300, -5, 300]).alphabet == frozenset({300, -5})
-        assert pad_to_power_of_two(Text([300, 2, 3, 300, 5]), 2).alphabet == frozenset({2, 3, 5, 300})
 
     @pytest.mark.parametrize(
         "codes",
@@ -77,8 +62,11 @@ class TestCodeDtype:
         codes = np.array([7, 2**62], dtype=np.uint64)
         assert Pattern(codes).symbols.tolist() == [7, 2**62]
 
-    @pytest.mark.parametrize("codes", [np.array([[1, 2], [3, 4]]), np.array(5), [[1, 2]], 7],
-                             ids=["matrix", "0-d array", "nested list", "scalar"])
+    @pytest.mark.parametrize(
+        "codes",
+        [np.array([[1, 2], [3, 4]]), np.array(5), [[1, 2]], 7, [[1], [2, 3]], [[1, 2], [3]]],
+        ids=["matrix", "0-d array", "nested list", "scalar", "ragged short first", "ragged long first"],
+    )
     @pytest.mark.parametrize("cls", [Text, Pattern])
     def test_codes_must_be_one_dimensional(self, cls, codes):
         with pytest.raises(DomainError, match="one-dimensional"):
@@ -96,9 +84,6 @@ class TestEquality:
         assert T("ab") == Text([97, 98])
         assert Text([1, 2, 3]) != Text([1, 2, 4])
         assert Text([1, 2, 3]) != Text([1, 2])
-        padded = pad_to_power_of_two(Text([300, 2, 3, 300, 5]), 2)
-        assert padded == pad_to_power_of_two(Text([300, 2, 3, 300, 5]), 2)
-        assert pad_to_power_of_two(T("abcab"), 2) != Text([97, 98, 99, 97, 98, 7])
 
     def test_patterns_compare_by_value(self):
         assert Pattern([7, 300]) == Pattern(np.array([7, 300]))
@@ -213,6 +198,10 @@ class TestClosestMatch:
             assert res.best_score == best
             assert list(res.offsets) == [o for o, s in enumerate(scores) if s == best]
 
+    def test_minus_one_matches_like_any_code(self):
+        res = closest_match_classical(Text([-1, 2, -1]), Pattern([-1]))
+        assert res.best_score == 1 and res.offsets == (0, 2)
+
     def test_pattern_longer_than_text(self):
         with pytest.raises(DomainError):
             closest_match_classical(T("ab"), P("abc"))
@@ -252,33 +241,6 @@ class TestRecodeKgrams:
             recode_kgrams(T("abcd"), P("ab"), 4)
         with pytest.raises(DomainError):
             recode_kgrams(T("abcd"), P("a"), 2)
-
-
-class TestPadding:
-    def test_padding_region_holds_only_the_sentinel(self):
-        with pytest.raises(DomainError, match="padding region must hold only the sentinel"):
-            Text(np.array([1, 2, 5]), padded_from=2)
-
-    @pytest.mark.parametrize("padded_from", [0, 3, 100, -1, 2.5, True, "2"])
-    def test_padded_from_must_be_an_integer_inside_the_text(self, padded_from):
-        with pytest.raises(DomainError, match=r"padded_from must be an integer in \[1, 3\)"):
-            Text(np.array([1, 2, SENTINEL]), padded_from=padded_from)
-
-    def test_pads_to_next_power(self):
-        padded = pad_to_power_of_two(T("abcabcabca"), 4)  # N=10, gap 6 -> 8
-        assert padded.n == 12
-        assert padded.padded_from == 10
-        assert (padded.symbols[10:] == SENTINEL).all()
-
-    def test_identity_when_already_power(self):
-        text = T("abcabcabcabc")  # N=12, gap 8 with M=4
-        assert pad_to_power_of_two(text, 4) is text
-
-    def test_indicators_zero_over_tail(self):
-        padded = pad_to_power_of_two(T("abcabcabca"), 4)
-        idx = build_index(padded)
-        for ind in idx.indicators.values():
-            assert ind.bits[10:].sum() == 0
 
 
 class TestIndexSerialization:
@@ -438,8 +400,11 @@ class TestIndexSerialization:
         with pytest.raises(DomainError):
             OracleIndex.from_json(document)
 
-    def test_padding_positions_belong_to_no_indicator(self):
-        padded = pad_to_power_of_two(T("abcab"), 2)
-        back = OracleIndex.from_json(build_index(padded).to_json())
-        assert back.n == padded.n == 6
-        assert sum(int(ind.bits.sum()) for ind in back.indicators.values()) == 5
+    def test_minus_one_round_trips_as_a_symbol(self):
+        idx = build_index(Text([-1, 3, -1]))
+        doc = idx.to_json()
+        assert json.loads(doc)["indicators"].keys() == {"-1", "3"}
+        back = OracleIndex.from_json(doc)
+        assert back.to_json() == doc
+        assert back.indicator_for(-1).bits.tolist() == [1, 0, 1]
+        assert back.indicator_for(3).bits.tolist() == [0, 1, 0]
