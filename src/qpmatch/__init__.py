@@ -16,8 +16,6 @@ from .text import (
     recode_kgrams,
 )
 from .simulation import (
-    FullStateReference,
-    TailEntangledState,
     apply_diffusion,
     apply_query_phase,
     embed_full,

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DomainError, ResourceError, _is_count
 from .simulation import (
     STATE_BYTES_LIMIT,
-    TailEntangledState,
     apply_diffusion,
     apply_query_phase,
     init_state,
@@ -105,13 +104,13 @@ def draw_schedule(rng: np.random.Generator, n: int, m: int, r_mode=R_MODE_RANDOM
     return tuple(rng.integers(1, m + 1, size=r).tolist())
 
 
-def grover_step(state: TailEntangledState, j: int, pattern: Pattern, index: OracleIndex) -> TailEntangledState:
+def grover_step(state: np.ndarray, j: int, pattern: Pattern, index: OracleIndex) -> np.ndarray:
     """One iteration: query phase for pattern symbol j, then diffusion."""
     indicator = index.indicator_for(int(pattern.symbols[j - 1]))
     return apply_diffusion(apply_query_phase(state, j, indicator))
 
 
-def _evolve(n, m, schedule, pattern, index) -> TailEntangledState:
+def _evolve(n, m, schedule, pattern, index) -> np.ndarray:
     state = init_state(n, m)
     for j in schedule:
         state = grover_step(state, j, pattern, index)

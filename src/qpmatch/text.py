@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _is_count
 
 INDEX_FORMAT_VERSION = 1
 
@@ -263,8 +263,8 @@ def build_index(text: Text) -> OracleIndex:
 
 def f_sigma(index: OracleIndex, symbol: int, i: int) -> int:
     """Return 1 iff text position ``i`` holds ``symbol``."""
-    if not 0 <= i < index.n:
-        raise DomainError(f"position {i} out of range [0, {index.n})")
+    if not (_is_count(i) and i < index.n):
+        raise DomainError(f"position must be an integer in [0, {index.n}), got {i!r}")
     if int(symbol) not in index.indicators:
         raise DomainError(f"symbol {symbol!r} not in alphabet")
     return int(index.indicators[int(symbol)].bits[i])
@@ -272,8 +272,8 @@ def f_sigma(index: OracleIndex, symbol: int, i: int) -> int:
 
 def hamming_score(text: Text, pattern: Pattern, offset: int) -> int:
     """Count per-position symbol agreements of ``pattern`` at ``offset``."""
-    if not 0 <= offset <= text.n - pattern.m:
-        raise DomainError(f"offset {offset} out of range [0, {text.n - pattern.m}]")
+    if not (_is_count(offset) and offset <= text.n - pattern.m):
+        raise DomainError(f"offset must be an integer in [0, {text.n - pattern.m}], got {offset!r}")
     window = text.symbols[offset : offset + pattern.m]
     return int(np.count_nonzero(window == pattern.symbols))
 

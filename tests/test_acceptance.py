@@ -80,7 +80,7 @@ def test_criterion_1_structured_vs_full_equivalence():
                 else:
                     state = apply_diffusion(state)
                     ref = full_apply_diffusion(ref)
-            worst = max(worst, float(np.abs(embed_full(state).amps - ref.amps).max()))
+            worst = max(worst, float(np.abs(embed_full(state) - ref).max()))
     ok = worst < 1e-10
     assert report("criterion 1 structured-vs-full", ok, f"max deviation {worst:.3e}")
 
@@ -233,9 +233,9 @@ def test_criterion_8_invariant_suite():
             else:
                 once = apply_diffusion(state)
                 twice = apply_diffusion(once)
-            worst_inv = max(worst_inv, float(np.abs(twice.amps - state.amps).max()))
+            worst_inv = max(worst_inv, float(np.abs(twice - state).max()))
             state = once
-        worst_norm = max(worst_norm, abs(state.norm_sq() - 1))
+        worst_norm = max(worst_norm, abs(float(np.sum(np.abs(state) ** 2)) - 1))
     ok_norm = worst_norm <= 1e-10
     ok_inv = worst_inv <= 1e-12
 

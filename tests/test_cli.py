@@ -14,7 +14,7 @@ from qpmatch import (
     synth_boolean_oracle,
     synth_init_state_circuit,
 )
-from qpmatch import circuits, cli, search
+from qpmatch import circuits, cli, search, simulation
 from qpmatch.cli import main
 
 
@@ -289,6 +289,44 @@ class TestScalingReport:
         code, stdout, err = run_cli(capsys, "scaling-report", "--n-min", "1", "--n-max", "20")
         assert (code, stdout) == (3, "")
         assert err.startswith("resource limit:")
+
+
+REFERENCE_NAMES = [
+    (search, "init_state"), (search, "apply_query_phase"), (search, "apply_diffusion"),
+    (search, "measure_first_register"), (search, "grover_step"), (search, "_evolve"), (search, "run_once"),
+    (simulation, "embed_full"), (simulation, "full_apply_query"), (simulation, "full_apply_diffusion"),
+]
+
+SEARCH = ["search", "--text", "{text}", "--pattern", "abd", "--trials", "5", "--seed", "1"]
+PRODUCT_COMMANDS = {
+    "search-json": [*SEARCH, "--format", "json"],
+    "search-csv": [*SEARCH, "--format", "csv"],
+    "search-kgram": [*SEARCH, "--kgram", "2"],
+    "search-fixed-r": [*SEARCH, "--r", "fixed:5"],
+    "baseline": ["baseline", "--text", "{text}", "--pattern", "abd"],
+    "index": ["index", "--text", "{text}", "--out", "{out}"],
+    "synth-transposition": ["synth", "transposition", "--width", "2", "--a", "0", "--b", "3", "--verify"],
+    "synth-oracle": ["synth", "oracle", "--text", "abab", "--symbol", "a", "--verify"],
+    "synth-init-state": ["synth", "init-state", "--s", "3", "--m", "2", "--verify"],
+    "scaling-report": ["scaling-report", "--n-min", "3", "--n-max", "5", "--seed", "0"],
+}
+
+
+class TestReferenceSimulatorsOffTheCommands:
+    """The structured and N^M simulators are test oracles: no command reaches them."""
+
+    @pytest.mark.parametrize("command", list(PRODUCT_COMMANDS))
+    def test_command_runs_without_them(self, capsys, tmp_path, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command reached the reference simulator")
+
+        for owner, name in REFERENCE_NAMES:
+            monkeypatch.setattr(owner, name, refuse)
+        path = tmp_path / "t.bin"
+        path.write_bytes(b"abcabdabcabc")
+        argv = [arg.format(text=path, out=tmp_path / "out") for arg in PRODUCT_COMMANDS[command]]
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
 
 
 class TestConsecutiveCalls:

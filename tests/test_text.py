@@ -153,6 +153,12 @@ class TestFSigma:
         with pytest.raises(DomainError):
             f_sigma(idx, ord("x"), 0)
 
+    @pytest.mark.parametrize("i", [True, 1.5, -1])
+    def test_position_must_be_an_integer(self, i):
+        idx = build_index(T("abc"))
+        with pytest.raises(DomainError, match="position"):
+            f_sigma(idx, ord("b"), i)
+
 
 class TestHammingScore:
     def test_partial(self):
@@ -173,6 +179,11 @@ class TestHammingScore:
     def test_offset_out_of_range(self):
         with pytest.raises(DomainError):
             hamming_score(T("abcd"), P("ab"), 3)
+
+    @pytest.mark.parametrize("offset", [True, 1.5, -1])
+    def test_offset_must_be_an_integer(self, offset):
+        with pytest.raises(DomainError, match="offset"):
+            hamming_score(T("abcd"), P("ab"), offset)
 
 
 class TestClosestMatch:
