@@ -38,6 +38,9 @@ MCX = "MCX"
 
 UNITARY_QUBIT_LIMIT = 12
 STATEVECTOR_QUBIT_LIMIT = 20
+#: Largest support :func:`simulate_statevector` keeps sparse; an H that would pass it hands the
+#: state to the dense kernel (the README's "Performance" section gives the measurement).
+SPARSE_SUPPORT_LIMIT = 2**10
 
 #: Hard cap on the control entries, summed over gates, of a synthesized or MCX-expanded circuit;
 #: counted before any gate is built.  An entry takes at most about 100 bytes, so a circuit at the
@@ -416,7 +419,7 @@ def init_state_target(s: int, m: int) -> np.ndarray:
 # --- dense simulation ---
 
 
-def _apply_gates(state: np.ndarray, gates, n: int, basis_input: int | None = None) -> None:
+def _apply_gates(state: np.ndarray, gates, n: int, support: np.ndarray | None = None) -> None:
     """Apply ``gates`` in order, in place; ``state`` has shape (2^n,) or (2^n, batch).
 
     The state is viewed as one axis per qubit (qubit 0 first), so a gate's
@@ -425,24 +428,27 @@ def _apply_gates(state: np.ndarray, gates, n: int, basis_input: int | None = Non
     fully indexed half a 0-d view instead of a copied scalar.  Hadamards
     round exactly like ``(a + b) * _SQRT_HALF`` and ``(a - b) * _SQRT_HALF``.
 
-    Given ``basis_input``, the state must be that basis state, and the kernel
-    tracks which qubits still hold one known bit: every amplitude with such a
-    qubit at the other bit is +0, so each tracked qubit's axis is fixed to its
-    bit and only the live subspace is touched.  A gate with a tracked control
-    of the wrong polarity is skipped.  An X or MCX whose controls are all
-    tracked flips its tracked target's bit; an H, or an MCX with an untracked
-    control, untracks its target.  The full sweep maps a pair of +0 to a pair
-    of +0 and applies the same float operations to every live amplitude, so
-    the output bytes are those of the full sweep, signed zeros included.
+    Given ``support``, the basis indices outside which every amplitude is +0
+    (a single index for a basis state), the kernel tracks which qubits still
+    hold one known bit, starting from the bits shared by the whole support:
+    every amplitude with such a qubit at the other bit is +0, so each tracked
+    qubit's axis is fixed to its bit and only the live subspace is touched.
+    A gate with a tracked control of the wrong polarity is skipped.  An X or
+    MCX whose controls are all tracked flips its tracked target's bit; an H,
+    or an MCX with an untracked control, untracks its target.  The full sweep
+    maps a pair of +0 to a pair of +0 and applies the same float operations
+    to every live amplitude, so the output bytes are those of the full sweep,
+    signed zeros included.
     """
     view = state.reshape((2,) * n + state.shape[1:])
     scratch = np.empty(state.size // 2, dtype=state.dtype)
     # live[q] indexes qubit q's axis: its bit while tracked, else every value.
     live = [_ALL] * n
-    n_tracked = 0
-    if basis_input is not None:
-        live = [(basis_input >> (n - 1 - q)) & 1 for q in range(n)]
-        n_tracked = n
+    if support is not None:
+        shared = int(np.bitwise_and.reduce(support))  # bits set at every index of the support
+        varies = int(np.bitwise_or.reduce(support)) ^ shared  # bits set at some but not all
+        live = [_ALL if (varies >> (n - 1 - q)) & 1 else (shared >> (n - 1 - q)) & 1 for q in range(n)]
+    n_tracked = n - live.count(_ALL)
     for gate in gates:
         if n_tracked:
             untracks = gate.kind == HADAMARD
@@ -480,9 +486,52 @@ def _apply_gates(state: np.ndarray, gates, n: int, basis_input: int | None = Non
                 live[gate.target] ^= 1
 
 
+def _apply_gates_sparse(gates, n: int, basis_input: int):
+    """Run gates on (positions, values) from ``basis_input`` while the support stays small.
+
+    Returns the int64 positions, their float64 values and the number of gates
+    applied; every amplitude off the positions is +0.  It stops before the
+    first H that would take the support past :data:`SPARSE_SUPPORT_LIMIT`.
+    An X or MCX flips the target bit of the positions whose controls match.
+    An H pairs each position with its partner at the other target bit, a
+    missing partner being +0, and gives the pair ``(a + b) * _SQRT_HALF`` and
+    ``(a - b) * _SQRT_HALF``, the dense kernel's float operations; no value is
+    ever -0, so adding a +0 partner rounds as the dense kernel does.
+    """
+    pos = np.array([basis_input], dtype=np.int64)
+    amp = np.ones(1)
+    for done, gate in enumerate(gates):
+        tbit = 1 << (n - 1 - gate.target)
+        if gate.kind != HADAMARD:
+            fires = np.ones(len(pos), dtype=bool)
+            for q, positive in gate.controls:
+                fires &= ((pos >> (n - 1 - q)) & 1) == positive
+            pos[fires] ^= tbit
+            continue
+        pairs, pair_of = np.unique(pos & ~tbit, return_inverse=True)
+        if 2 * len(pairs) > SPARSE_SUPPORT_LIMIT:
+            return pos, amp, done
+        high = (pos & tbit) != 0
+        a = np.zeros(len(pairs))
+        b = np.zeros(len(pairs))
+        a[pair_of[~high]] = amp[~high]
+        b[pair_of[high]] = amp[high]
+        pos = np.concatenate((pairs, pairs | tbit))
+        amp = np.concatenate(((a + b) * _SQRT_HALF, (a - b) * _SQRT_HALF))
+    return pos, amp, len(gates)
+
+
 def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
     """Exact output statevector for a computational basis input.
 
+    The gates run on the sparse support (:func:`_apply_gates_sparse`) until an
+    H would take it past :data:`SPARSE_SUPPORT_LIMIT` amplitudes; the support
+    is then scattered into the dense state and the remaining gates run in
+    :func:`_apply_gates`, tracking the qubits whose bit the whole support
+    shares.  Both phases do the full sweep's float operations on every
+    amplitude that can be nonzero, so the bytes are those of the full sweep.
+    On 20 qubits a sparse H at the limit costs about 65 us, against 1.5 ms
+    for a dense H with nothing tracked and 15 us with a tracked 2^10 subcube.
     Every gate is real, so the state evolves in float64 and is returned as
     complex128 with the same values.
     """
@@ -491,10 +540,14 @@ def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
         raise ResourceError(f"{n} qubits exceeds the statevector limit of {STATEVECTOR_QUBIT_LIMIT}")
     if not (_is_count(basis_input) and basis_input < 2**n):
         raise DomainError(f"basis input out of range: need an integer in [0, {2**n}), got {basis_input!r}")
-    state = np.zeros(2**n)
-    state[basis_input] = 1.0
-    _apply_gates(state, circuit.gates, n, basis_input)
-    return state.astype(np.complex128)
+    pos, amp, done = _apply_gates_sparse(circuit.gates, n, basis_input)
+    rest = circuit.gates[done:]
+    # With no gate left the support goes straight into the complex output, skipping a 2^n copy.
+    state = np.zeros(2**n, dtype=np.float64 if rest else np.complex128)
+    state[pos] = amp
+    if rest:
+        _apply_gates(state, rest, n, pos)
+    return state.astype(np.complex128, copy=False)
 
 
 def simulate_unitary(circuit: Circuit) -> np.ndarray:

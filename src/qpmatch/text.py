@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _is_count
+from .errors import DomainError, _is_count, _is_integer
 
 INDEX_FORMAT_VERSION = 1
 
@@ -174,7 +174,8 @@ class OracleIndex:
     indicators: dict = field(default_factory=dict)
 
     def indicator_for(self, symbol: int) -> SymbolIndicator:
-        """Indicator for ``symbol``; all-zero for symbols outside the alphabet."""
+        """Indicator for ``symbol``, an integer code; all-zero for symbols outside the alphabet."""
+        _check_symbol(symbol)
         ind = self.indicators.get(int(symbol))
         if ind is None:
             ind = SymbolIndicator(int(symbol), np.zeros((self.n + 7) // 8, dtype=np.uint8), self.n)
@@ -249,6 +250,11 @@ class ClassicalMatchResult:
     offsets: tuple
 
 
+def _check_symbol(symbol) -> None:
+    if not _is_integer(symbol):
+        raise DomainError(f"symbol must be an integer code, got {symbol!r}")
+
+
 def build_index(text: Text) -> OracleIndex:
     """Build the per-symbol membership index of ``text`` in one pass."""
     hits = np.empty(text.n, dtype=bool)
@@ -265,6 +271,7 @@ def f_sigma(index: OracleIndex, symbol: int, i: int) -> int:
     """Return 1 iff text position ``i`` holds ``symbol``."""
     if not (_is_count(i) and i < index.n):
         raise DomainError(f"position must be an integer in [0, {index.n}), got {i!r}")
+    _check_symbol(symbol)
     if int(symbol) not in index.indicators:
         raise DomainError(f"symbol {symbol!r} not in alphabet")
     return int(index.indicators[int(symbol)].bits[i])

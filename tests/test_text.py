@@ -159,6 +159,21 @@ class TestFSigma:
         with pytest.raises(DomainError, match="position"):
             f_sigma(idx, ord("b"), i)
 
+    @pytest.mark.parametrize("symbol", [98.7, "98", True])
+    def test_symbol_must_be_an_integer(self, symbol):
+        idx = build_index(T("abc"))
+        with pytest.raises(DomainError, match="symbol must be an integer"):
+            f_sigma(idx, symbol, 1)
+        with pytest.raises(DomainError, match="symbol must be an integer"):
+            idx.indicator_for(symbol)
+
+    def test_numpy_and_negative_symbols_are_codes(self):
+        idx = build_index(Text([98, -1, 98]))
+        assert f_sigma(idx, np.int64(98), 0) == 1
+        assert f_sigma(idx, -1, 1) == 1
+        assert idx.indicator_for(np.int64(98)).bits.tolist() == [1, 0, 1]
+        assert idx.indicator_for(-1).bits.tolist() == [0, 1, 0]
+
 
 class TestHammingScore:
     def test_partial(self):
