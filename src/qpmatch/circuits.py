@@ -38,9 +38,6 @@ MCX = "MCX"
 
 UNITARY_QUBIT_LIMIT = 12
 STATEVECTOR_QUBIT_LIMIT = 20
-#: Largest support :func:`simulate_statevector` keeps sparse; an H that would pass it hands the
-#: state to the dense kernel (the README's "Performance" section gives the measurement).
-SPARSE_SUPPORT_LIMIT = 2**10
 
 #: Hard cap on the control entries, summed over gates, of a synthesized or MCX-expanded circuit;
 #: counted before any gate is built.  An entry takes at most about 100 bytes, so a circuit at the
@@ -419,7 +416,7 @@ def init_state_target(s: int, m: int) -> np.ndarray:
 # --- dense simulation ---
 
 
-def _apply_gates(state: np.ndarray, gates, n: int, support: np.ndarray | None = None) -> None:
+def _apply_gates(state: np.ndarray, gates, n: int) -> None:
     """Apply ``gates`` in order, in place; ``state`` has shape (2^n,) or (2^n, batch).
 
     The state is viewed as one axis per qubit (qubit 0 first), so a gate's
@@ -427,41 +424,11 @@ def _apply_gates(state: np.ndarray, gates, n: int, support: np.ndarray | None = 
     target to 0 (``low``) or 1 (``high``).  The trailing ``Ellipsis`` keeps a
     fully indexed half a 0-d view instead of a copied scalar.  Hadamards
     round exactly like ``(a + b) * _SQRT_HALF`` and ``(a - b) * _SQRT_HALF``.
-
-    Given ``support``, the basis indices outside which every amplitude is +0
-    (a single index for a basis state), the kernel tracks which qubits still
-    hold one known bit, starting from the bits shared by the whole support:
-    every amplitude with such a qubit at the other bit is +0, so each tracked
-    qubit's axis is fixed to its bit and only the live subspace is touched.
-    A gate with a tracked control of the wrong polarity is skipped.  An X or
-    MCX whose controls are all tracked flips its tracked target's bit; an H,
-    or an MCX with an untracked control, untracks its target.  The full sweep
-    maps a pair of +0 to a pair of +0 and applies the same float operations
-    to every live amplitude, so the output bytes are those of the full sweep,
-    signed zeros included.
     """
     view = state.reshape((2,) * n + state.shape[1:])
     scratch = np.empty(state.size // 2, dtype=state.dtype)
-    # live[q] indexes qubit q's axis: its bit while tracked, else every value.
-    live = [_ALL] * n
-    if support is not None:
-        shared = int(np.bitwise_and.reduce(support))  # bits set at every index of the support
-        varies = int(np.bitwise_or.reduce(support)) ^ shared  # bits set at some but not all
-        live = [_ALL if (varies >> (n - 1 - q)) & 1 else (shared >> (n - 1 - q)) & 1 for q in range(n)]
-    n_tracked = n - live.count(_ALL)
     for gate in gates:
-        if n_tracked:
-            untracks = gate.kind == HADAMARD
-            skip = False
-            for q, positive in gate.controls:
-                if live[q] is _ALL:
-                    untracks = True
-                elif live[q] != positive:
-                    skip = True  # an identity on the live subspace
-                    break
-            if skip:
-                continue
-        index = live.copy()
+        index = [_ALL] * n
         for q, positive in gate.controls:
             index[q] = int(positive)
         index[gate.target] = 0
@@ -478,29 +445,23 @@ def _apply_gates(state: np.ndarray, gates, n: int, support: np.ndarray | None = 
         else:
             np.copyto(low, high)
             np.copyto(high, tmp)
-        if n_tracked and live[gate.target] is not _ALL:
-            if untracks:
-                live[gate.target] = _ALL
-                n_tracked -= 1
-            else:
-                live[gate.target] ^= 1
 
 
-def _apply_gates_sparse(gates, n: int, basis_input: int):
-    """Run gates on (positions, values) from ``basis_input`` while the support stays small.
+def _apply_gates_sparse(gates, n: int, basis_input: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``gates`` from ``basis_input`` on the support: the positions that may be nonzero.
 
-    Returns the int64 positions, their float64 values and the number of gates
-    applied; every amplitude off the positions is +0.  It stops before the
-    first H that would take the support past :data:`SPARSE_SUPPORT_LIMIT`.
-    An X or MCX flips the target bit of the positions whose controls match.
-    An H pairs each position with its partner at the other target bit, a
-    missing partner being +0, and gives the pair ``(a + b) * _SQRT_HALF`` and
-    ``(a - b) * _SQRT_HALF``, the dense kernel's float operations; no value is
-    ever -0, so adding a +0 partner rounds as the dense kernel does.
+    Returns the distinct int64 positions and their float64 values; every
+    amplitude off the positions is +0.  An X or MCX flips the target bit of
+    the positions whose controls match.  An H pairs each position with its
+    partner at the other target bit, a missing partner being +0, and gives the
+    pair ``(a + b) * _SQRT_HALF`` and ``(a - b) * _SQRT_HALF``, the float
+    operations of :func:`_apply_gates`; no value is ever -0, so adding a +0
+    partner rounds as the full sweep does, and the full sweep maps every pair
+    of +0 it holds off the support to +0.
     """
     pos = np.array([basis_input], dtype=np.int64)
     amp = np.ones(1)
-    for done, gate in enumerate(gates):
+    for gate in gates:
         tbit = 1 << (n - 1 - gate.target)
         if gate.kind != HADAMARD:
             fires = np.ones(len(pos), dtype=bool)
@@ -509,8 +470,6 @@ def _apply_gates_sparse(gates, n: int, basis_input: int):
             pos[fires] ^= tbit
             continue
         pairs, pair_of = np.unique(pos & ~tbit, return_inverse=True)
-        if 2 * len(pairs) > SPARSE_SUPPORT_LIMIT:
-            return pos, amp, done
         high = (pos & tbit) != 0
         a = np.zeros(len(pairs))
         b = np.zeros(len(pairs))
@@ -518,36 +477,30 @@ def _apply_gates_sparse(gates, n: int, basis_input: int):
         b[pair_of[high]] = amp[high]
         pos = np.concatenate((pairs, pairs | tbit))
         amp = np.concatenate(((a + b) * _SQRT_HALF, (a - b) * _SQRT_HALF))
-    return pos, amp, len(gates)
+    return pos, amp
 
 
 def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
     """Exact output statevector for a computational basis input.
 
-    The gates run on the sparse support (:func:`_apply_gates_sparse`) until an
-    H would take it past :data:`SPARSE_SUPPORT_LIMIT` amplitudes; the support
-    is then scattered into the dense state and the remaining gates run in
-    :func:`_apply_gates`, tracking the qubits whose bit the whole support
-    shares.  Both phases do the full sweep's float operations on every
-    amplitude that can be nonzero, so the bytes are those of the full sweep.
-    On 20 qubits a sparse H at the limit costs about 65 us, against 1.5 ms
-    for a dense H with nothing tracked and 15 us with a tracked 2^10 subcube.
-    Every gate is real, so the state evolves in float64 and is returned as
-    complex128 with the same values.
+    The gates run on the state's sparse support (:func:`_apply_gates_sparse`),
+    which is then scattered into a zeroed complex128 vector; the bytes are
+    those of the full sweep of :func:`_apply_gates`.  The init-state circuit
+    keeps 2^s of its 2^(sM) amplitudes, so it costs about 1.5 ms at s = 4,
+    M = 5 against 20 ms for the full sweep.  A circuit whose support fills
+    the state costs several times the full sweep (20 H gates on 20 qubits:
+    86 against 15 ms), but no command runs one.  Every gate is real, so the
+    values are float64 with a +0 imaginary part.
     """
     n = circuit.n_qubits
     if n > STATEVECTOR_QUBIT_LIMIT:
         raise ResourceError(f"{n} qubits exceeds the statevector limit of {STATEVECTOR_QUBIT_LIMIT}")
     if not (_is_count(basis_input) and basis_input < 2**n):
         raise DomainError(f"basis input out of range: need an integer in [0, {2**n}), got {basis_input!r}")
-    pos, amp, done = _apply_gates_sparse(circuit.gates, n, basis_input)
-    rest = circuit.gates[done:]
-    # With no gate left the support goes straight into the complex output, skipping a 2^n copy.
-    state = np.zeros(2**n, dtype=np.float64 if rest else np.complex128)
+    pos, amp = _apply_gates_sparse(circuit.gates, n, basis_input)
+    state = np.zeros(2**n, dtype=np.complex128)
     state[pos] = amp
-    if rest:
-        _apply_gates(state, rest, n, pos)
-    return state.astype(np.complex128, copy=False)
+    return state
 
 
 def simulate_unitary(circuit: Circuit) -> np.ndarray:

@@ -339,17 +339,17 @@ class TestDenseSimulation:
         assert permutation_action(Circuit(20, gates)) == expected
 
 
-def dense_from_basis_state(circuit, basis_input):
-    """The dense kernel run from one basis state, with the tracking that state seeds."""
+def full_sweep_from_basis_state(circuit, basis_input):
+    """The dense kernel's full sweep over all 2^n amplitudes, from one basis state."""
     n = circuit.n_qubits
     state = np.zeros(2**n)
     state[basis_input] = 1.0
-    circuits._apply_gates(state, circuit.gates, n, np.array([basis_input]))
+    circuits._apply_gates(state, circuit.gates, n)
     return state.astype(np.complex128)
 
 
 class TestBasisTracking:
-    """``simulate_statevector`` skips the region where a tracked qubit holds its other bit."""
+    """``simulate_statevector`` follows the basis state's support and skips every +0 amplitude."""
 
     @staticmethod
     def statevector(circuit, basis_input):
@@ -388,8 +388,8 @@ class TestBasisTracking:
 
     def test_cnot_fan_out_keeps_the_support_size(self):
         gates = (Gate("H", 0), Gate("MCX", 1, ((0, True),)), Gate("MCX", 2, ((0, True),)))
-        pos, amp, done = circuits._apply_gates_sparse(gates, 3, 0)
-        assert (sorted(pos.tolist()), done) == ([0b000, 0b111], 3)
+        pos, amp = circuits._apply_gates_sparse(gates, 3, 0)
+        assert sorted(pos.tolist()) == [0b000, 0b111]
         half = 1 / np.sqrt(2)
         circuit = Circuit(3, gates)
         assert np.array_equal(self.statevector(circuit, 0), self.expected(3, {0b000: half, 0b111: half}))
@@ -397,54 +397,27 @@ class TestBasisTracking:
     def test_control_of_wrong_polarity_on_a_sparse_support(self):
         # From |010>, H q0 gives {|010>, |110>}: -q1 fires on neither, -q0 only on |010>.
         gates = (Gate("H", 0), Gate("MCX", 2, ((1, False),)), Gate("MCX", 2, ((0, False),)))
-        pos, amp, done = circuits._apply_gates_sparse(gates[:2], 3, 0b010)
+        pos, amp = circuits._apply_gates_sparse(gates[:2], 3, 0b010)
         assert sorted(pos.tolist()) == [0b010, 0b110]
-        pos, amp, done = circuits._apply_gates_sparse(gates, 3, 0b010)
+        pos, amp = circuits._apply_gates_sparse(gates, 3, 0b010)
         assert sorted(pos.tolist()) == [0b011, 0b110]
         half = 1 / np.sqrt(2)
         circuit = Circuit(3, gates)
         assert np.array_equal(self.statevector(circuit, 0b010), self.expected(3, {0b011: half, 0b110: half}))
 
-    def test_support_seeds_the_tracking_of_its_shared_bits(self):
-        # The support {0000, 0100, 0010} shares q0 = 0 and q3 = 0.  No gate targets q0, so the
-        # seeded kernel never touches the q0 = 1 half, here filled with values a sweep would move.
-        support = np.array([0b0000, 0b0100, 0b0010])
-        gates = (Gate("H", 1), Gate("MCX", 2, ((1, True), (0, False))), Gate("H", 3), Gate("X", 2))
-        clean = np.zeros(16)
-        clean[support] = [0.5, 0.25, -0.75]
-        expected = clean.copy()
-        circuits._apply_gates(expected, gates, 4)
-        state = clean.copy()
-        state[8:] = np.arange(1.0, 9.0)
-        circuits._apply_gates(state, gates, 4, support)
-        assert state[:8].tobytes() == expected[:8].tobytes()
-        assert state[8:].tolist() == list(np.arange(1.0, 9.0))
-
-    def test_support_at_the_limit_stays_sparse_and_one_hadamard_more_hands_off(self, monkeypatch):
-        k = int(np.log2(circuits.SPARSE_SUPPORT_LIMIT))
-        n = k + 2
-        at_limit = [Gate("H", q) for q in range(k)] + [Gate("MCX", k + 1, ((0, True),))]
-        past_limit = at_limit + [Gate("H", k), Gate("X", 0)]
-        pos, amp, done = circuits._apply_gates_sparse(at_limit, n, 0)
-        assert (len(pos), done) == (circuits.SPARSE_SUPPORT_LIMIT, len(at_limit))
-        pos, amp, done = circuits._apply_gates_sparse(past_limit, n, 0)
-        assert (len(pos), done) == (circuits.SPARSE_SUPPORT_LIMIT, len(at_limit))
-        circuit = Circuit(n, past_limit)
-        expected = dense_from_basis_state(circuit, 0).tobytes()
-        handed = []
-        dense = circuits._apply_gates
-
-        def spy(state, gates, n, support=None):
-            handed.append((len(gates), sorted(support.tolist())))
-            dense(state, gates, n, support)
-
-        monkeypatch.setattr(circuits, "_apply_gates", spy)
-        assert simulate_statevector(circuit, 0).tobytes() == expected
-        assert handed == [(2, sorted(pos.tolist()))]
+    def test_hadamard_pairs_with_a_missing_partner_as_zero(self):
+        # After H q0 and CNOT q0 -> q1 the support is {|00>, |11>}: an H on q1 finds each
+        # position's partner missing, and a second H on q0 then pairs every position.
+        gates = (Gate("H", 0), Gate("MCX", 1, ((0, True),)), Gate("H", 1), Gate("H", 0))
+        pos, amp = circuits._apply_gates_sparse(gates[:3], 2, 0)
+        assert len(pos) == 4
+        circuit = Circuit(2, gates)
+        full = full_sweep_from_basis_state(circuit, 0)
+        assert self.statevector(circuit, 0).tobytes() == full.tobytes()
 
 
-class TestSparseHandoff:
-    """The sparse phase and its handoff give the bytes of the dense kernel run from one basis state."""
+class TestSparseSupport:
+    """The sparse support gives the bytes of the full sweep over all 2^n amplitudes."""
 
     @staticmethod
     def random_circuit(rng, n, n_gates, hadamards):
@@ -459,31 +432,25 @@ class TestSparseHandoff:
             gates.append(Gate("MCX", target, tuple((int(q), bool(rng.integers(2))) for q in others)))
         return Circuit(n, gates)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_handoff_in_the_middle_and_never(self, seed):
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_circuits_match_the_full_sweep(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(11, 21))
-        before, after = (self.random_circuit(rng, n, 2 * n, hadamards=0.3).gates for _ in range(2))
-        # An H on every qubit takes the support to 2^n, past the limit; log2(limit) of them never do.
-        middle = Circuit(n, before + tuple(Gate("H", q) for q in range(n)) + after)
-        never = Circuit(n, [g for g in middle.gates if g.kind != "H"] + [Gate("H", q) for q in range(10)])
-        for circuit, handoff in ((middle, True), (never, False)):
-            basis_input = int(rng.integers(2**n))
-            _, _, done = circuits._apply_gates_sparse(circuit.gates, n, basis_input)
-            assert (0 < done < len(circuit.gates)) if handoff else done == len(circuit.gates)
-            expected = dense_from_basis_state(circuit, basis_input).tobytes()
-            assert simulate_statevector(circuit, basis_input).tobytes() == expected
+        circuit = self.random_circuit(rng, n, 3 * n, hadamards=0.3)
+        basis_input = int(rng.integers(2**n))
+        expected = full_sweep_from_basis_state(circuit, basis_input).tobytes()
+        assert simulate_statevector(circuit, basis_input).tobytes() == expected
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_handoff_before_the_first_gate(self, seed, monkeypatch):
-        monkeypatch.setattr(circuits, "SPARSE_SUPPORT_LIMIT", 1)
+    def test_a_support_that_fills_the_state_matches_the_full_sweep(self, seed):
+        # An H on every qubit first takes the support to all 2^n positions.
         rng = np.random.default_rng(10 + seed)
-        n = int(rng.integers(11, 21))
+        n = int(rng.integers(11, 15))
         rest = self.random_circuit(rng, n, 2 * n, hadamards=0.3)
-        circuit = Circuit(n, (Gate("H", int(rng.integers(n))),) + rest.gates)
+        circuit = Circuit(n, tuple(Gate("H", q) for q in range(n)) + rest.gates)
         basis_input = int(rng.integers(2**n))
-        assert circuits._apply_gates_sparse(circuit.gates, n, basis_input)[2] == 0
-        expected = dense_from_basis_state(circuit, basis_input).tobytes()
+        assert len(circuits._apply_gates_sparse(circuit.gates[:n], n, basis_input)[0]) == 2**n
+        expected = full_sweep_from_basis_state(circuit, basis_input).tobytes()
         assert simulate_statevector(circuit, basis_input).tobytes() == expected
 
 
