@@ -1,4 +1,4 @@
-"""Reversible-circuit synthesis and dense verification.
+"""Reversible-circuit synthesis and exact verification.
 
 Circuits are gate lists over {H, X, MCX-with-polarities}.  A :class:`Gate` is
 plain data; the :class:`Circuit` holding it checks it once, and every consumer
@@ -20,13 +20,17 @@ as an operator product, i.e. the LAST element of the sequence acts first on
 a basis index.  A circuit's gate list, in contrast, is temporal: the FIRST
 gate acts first.  Concatenating synthesized transposition circuits therefore
 reverses the transposition sequence.
+
+Verification is exact: a dense unitary, a statevector on its sparse support,
+and a basis permutation moved as integer labels per run of same-target gates.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import getitem
+from itertools import groupby
+from operator import attrgetter, getitem
 
 import numpy as np
 
@@ -413,7 +417,7 @@ def init_state_target(s: int, m: int) -> np.ndarray:
     return vec
 
 
-# --- dense simulation ---
+# --- simulation: dense unitary, sparse statevector, basis permutation ---
 
 
 def _apply_gates(state: np.ndarray, gates, n: int) -> None:
@@ -513,18 +517,50 @@ def simulate_unitary(circuit: Circuit) -> np.ndarray:
     return mat.astype(np.complex128)
 
 
+def _fillings(free: int) -> np.ndarray:
+    """Every word whose set bits all lie in ``free``, ascending, as int64."""
+    fill = np.zeros(1, dtype=np.int64)
+    while free:
+        low = free & -free
+        fill = np.concatenate((fill, fill | low))
+        free ^= low
+    return fill
+
+
 def permutation_action(circuit: Circuit) -> Permutation:
-    """Exact basis-state action of an {X, MCX}-only circuit, as integers."""
+    """Exact basis-state action of an {X, MCX}-only circuit, as integers.
+
+    The gates are taken in maximal runs of consecutive gates on one target.  No X or MCX reads
+    its own target, so the gates of a run commute, and together they flip the target bit of
+    the words an odd number of them fire on.  A gate fires on its control values with every
+    filling of its uncontrolled qubits; the run swaps the labels of those words and their
+    partners in one fancy-indexed step.  Every gate is an involution, so walking the runs last
+    to first over the labels 0 ... 2^n - 1 leaves each word's image in its place.
+    """
     n = circuit.n_qubits
     if n > STATEVECTOR_QUBIT_LIMIT:
         raise ResourceError(f"{n} qubits exceeds the permutation limit of {STATEVECTOR_QUBIT_LIMIT}")
     if any(gate.kind == HADAMARD for gate in circuit.gates):
         raise DomainError("circuit is not a basis permutation: contains Hadamard")
-    # Moving basis labels like amplitudes leaves moved[y] = the preimage of y.
-    moved = np.arange(2**n)
-    _apply_gates(moved, circuit.gates, n)
-    images = np.empty_like(moved)
-    images[moved] = np.arange(2**n)
+    bit = [1 << (n - 1 - q) for q in range(n)]
+    images = np.arange(2**n)
+    for target, run in groupby(reversed(circuit.gates), key=attrgetter("target")):
+        run = tuple(run)
+        values_by_free = {}  # the control values of the run's gates, keyed by their uncontrolled qubits
+        for gate in run:
+            care, value = bit[target], 0
+            for q, positive in gate.controls:
+                care |= bit[q]
+                if positive:
+                    value |= bit[q]
+            values_by_free.setdefault((1 << n) - 1 - care, []).append(value)
+        words = np.concatenate([(np.array(values)[:, None] | _fillings(free)).ravel()
+                                for free, values in values_by_free.items()])
+        if len(run) > 1:  # one gate fires on a word at most once
+            words, hits = np.unique(words, return_counts=True)
+            words = words[hits % 2 == 1]
+        partners = words | bit[target]
+        images[words], images[partners] = images[partners], images[words]
     return Permutation(images)
 
 

@@ -454,6 +454,79 @@ class TestSparseSupport:
         assert simulate_statevector(circuit, basis_input).tobytes() == expected
 
 
+def full_sweep_images(circuit):
+    """The image table from the dense kernel's full sweep over the labels, inverted."""
+    n = circuit.n_qubits
+    moved = np.arange(2**n)
+    circuits._apply_gates(moved, circuit.gates, n)
+    images = np.empty_like(moved)
+    images[moved] = np.arange(2**n)
+    return images
+
+
+class TestPermutationAction:
+    """The per-run kernel gives the image table of the full sweep over the labels."""
+
+    @staticmethod
+    def assert_matches_the_full_sweep(circuit):
+        images = permutation_action(circuit).images
+        assert images.dtype == np.int64
+        assert images.tobytes() == full_sweep_images(circuit).tobytes()
+
+    @staticmethod
+    def random_gate(rng, n, target):
+        others = rng.permutation([q for q in range(n) if q != target])[: int(rng.integers(n))]
+        controls = tuple((int(q), bool(rng.integers(2))) for q in others)
+        return Gate("MCX", target, controls) if controls else Gate("X", target)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_random_runs_match_the_full_sweep(self, n):
+        # Runs of one to four gates on one target; a run may repeat one of its gates.
+        rng = np.random.default_rng(n)
+        gates = []
+        for _ in range(int(rng.integers(1, 12))):
+            target = int(rng.integers(n))
+            run = [self.random_gate(rng, n, target) for _ in range(int(rng.integers(1, 5)))]
+            if rng.random() < 0.5:
+                run.insert(int(rng.integers(len(run) + 1)), run[int(rng.integers(len(run)))])
+            gates += run
+        self.assert_matches_the_full_sweep(Circuit(n, gates))
+
+    def test_a_gate_repeated_within_a_run_cancels(self):
+        g = Gate("MCX", 2, ((0, True), (3, False)))
+        h = Gate("MCX", 2, ((1, True),))
+        circuit = Circuit(4, (g, h, g))
+        self.assert_matches_the_full_sweep(circuit)
+        assert permutation_action(circuit) == permutation_action(Circuit(4, (h,)))
+        assert permutation_action(Circuit(4, (g, g))) == permutation_action(Circuit(4))
+
+    def test_an_uncontrolled_x_inside_a_run(self):
+        # The X flips q1 everywhere; with +q0 also firing, words with q0 = 1 keep their q1.
+        gates = (Gate("MCX", 1, ((0, True),)), Gate("X", 1), Gate("MCX", 1, ((2, False),)))
+        self.assert_matches_the_full_sweep(Circuit(3, gates))
+        images = permutation_action(Circuit(3, gates[:2])).images
+        assert images.tolist() == [2, 3, 0, 1, 4, 5, 6, 7]
+
+    def test_partial_controls_of_mixed_polarity(self):
+        # Qubits 1 and 4 are free, so the gate fires on 4 words and moves 8 labels.
+        gate = Gate("MCX", 3, ((0, True), (2, False), (5, True)))
+        circuit = Circuit(6, (gate,))
+        self.assert_matches_the_full_sweep(circuit)
+        moved = np.flatnonzero(permutation_action(circuit).images != np.arange(64))
+        assert len(moved) == 8
+        assert all(x >> 5 & 1 and not x >> 3 & 1 and x & 1 for x in moved)
+
+    def test_a_change_of_target_ends_the_run(self):
+        gates = (Gate("MCX", 0, ((1, True),)), Gate("MCX", 1, ((0, True),)), Gate("MCX", 0, ((1, True),)))
+        self.assert_matches_the_full_sweep(Circuit(2, gates))
+        assert permutation_action(Circuit(2, gates)).images.tolist() == [0, 2, 1, 3]
+
+    @pytest.mark.parametrize("circuit", [Circuit(0), Circuit(3)])
+    def test_empty_circuits_are_the_identity(self, circuit):
+        self.assert_matches_the_full_sweep(circuit)
+        assert permutation_action(circuit).images.tolist() == list(range(2**circuit.n_qubits))
+
+
 class TestGateCount:
     def test_empty(self):
         report = gate_count(Circuit(2))

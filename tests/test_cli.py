@@ -233,6 +233,32 @@ class TestSynthCommand:
         assert code == 0
         assert stdout.splitlines()[2] == f"verify: PASS (max deviation {float(abs(1 - fidelity)):.3e})"
 
+    def test_oracle_with_a_dropped_gate_fails_verification(self, capsys, monkeypatch):
+        def dropped(f, n):
+            circuit = circuits.synth_boolean_oracle(f, n)
+            return circuits.Circuit(circuit.n_qubits, circuit.gates[1:])
+
+        monkeypatch.setattr(cli, "synth_boolean_oracle", dropped)
+        code, stdout, err = run_cli(capsys, "synth", "oracle", "--text", "abab", "--symbol", "a", "--verify")
+        assert (code, err) == (2, "")
+        assert stdout.splitlines()[1:] == [
+            "gate counts: {'H': 0, 'X': 0, 'MCX': 1}, basic-gate estimate 3",
+            "verify: FAIL (max deviation 1.000e+00)",
+        ]
+
+    def test_transposition_with_a_flipped_polarity_fails_verification(self, capsys, monkeypatch):
+        def flipped(t, width):
+            first, *rest = circuits.synth_transposition(t, width).gates
+            (q, positive), *controls = first.controls
+            first = circuits.Gate(first.kind, first.target, ((q, not positive), *controls))
+            return circuits.Circuit(width, (first, *rest))
+
+        monkeypatch.setattr(cli, "synth_transposition", flipped)
+        code, stdout, err = run_cli(capsys, "synth", "transposition", "--width", "3", "--a", "0", "--b", "7",
+                                    "--verify")
+        assert (code, err) == (2, "")
+        assert stdout.splitlines()[2] == "verify: FAIL (max deviation 1.000e+00)"
+
     def test_resource_limit_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "synth", "init-state", "--s", "8", "--m", "3", "--verify"
