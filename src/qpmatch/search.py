@@ -149,32 +149,6 @@ def _state_buffer(n: int, m: int) -> np.ndarray:
     return np.empty((n, k), dtype=dtype)
 
 
-def _visit_order(keys) -> list:
-    """The distinct reduced schedules ``keys`` in the order of a depth-first walk of their trie.
-
-    At each node the schedule ending there comes first, then the child subtree
-    holding fewer schedules, and the larger one last.
-    """
-    order = []
-    stack = [(list(keys), 0)]
-    while stack:
-        group, depth = stack.pop()
-        if len(group) == 1:
-            order.append(group[0])
-            continue
-        children = ([], [])
-        for key in group:
-            if len(key) == depth:
-                order.append(key)
-            else:
-                children[key[depth]].append(key)
-        # The stack is last-in first-out: push the larger subtree first.
-        for child in sorted(children, key=len, reverse=True):
-            if child:
-                stack.append((child, depth + 1))
-    return order
-
-
 def _common_prefix(a: tuple, b: tuple) -> int:
     length = 0
     for x, y in zip(a, b):
@@ -194,35 +168,36 @@ def _walk_schedules(amps: np.ndarray, keys, in_t: np.ndarray) -> dict:
     sign.  ``keys`` are distinct reduced schedules; ``in_t`` marks the
     positions of the pattern's first symbol.
 
-    Each step of a prefix that several of ``keys`` share runs once.  One
-    checkpoint buffer holds the state of the deepest prefix that still has a
-    branch left to run; a branch whose prefix the checkpoint does not hold is
-    replayed from the initial state, so no schedule costs more steps than its
-    own evolution.  ``amps`` is overwritten.
+    The keys run in one sorted order, a preorder of their trie with the
+    ``j == 1`` branch first (usually the smaller subtree, as P(j = 1) = 1/M).
+    In a preorder the longest prefix a key shares with any later key is the
+    one it shares with the next key.  One checkpoint buffer holds the state at
+    that depth when the key's run passes it, and the next key resumes there;
+    otherwise the next key is replayed from the initial state, so no schedule
+    costs more steps than its own evolution.  ``amps`` is overwritten.
     """
     n, k = amps.shape
     flip = in_t[:, None]
     # complex128 mean() multiplies by 1/N; float64 mean() would divide by N
     inv_n = 1.0 / n
     may_checkpoint = 2 * amps.nbytes <= STATE_BYTES_LIMIT
-    checkpoint, held = None, None
-    order = _visit_order(keys)
+    checkpoint, resume = None, 0
+    order = sorted(keys, key=lambda key: [not j1 for j1 in key])
     distributions = {}
-    for i, key in enumerate(order):
-        branch = _common_prefix(key, order[i + 1]) if i + 1 < len(order) else -1
-        if held is not None and key[: len(held)] == held:
+    for key, after in zip(order, order[1:] + [()]):
+        if resume:
             np.copyto(amps, checkpoint)
-            depth = len(held)
         else:
             amps.fill(0.0)
             np.fill_diagonal(amps, 1.0 / np.sqrt(k))
-            depth = 0
+        start = depth = resume
+        branch = _common_prefix(key, after)
+        resume = branch if may_checkpoint and start <= branch else 0
         while True:
-            if depth == branch and may_checkpoint and held != key[:depth]:
+            if depth == resume != start:
                 if checkpoint is None:
                     checkpoint = np.empty_like(amps)
                 np.copyto(checkpoint, amps)
-                held = key[:depth]
             if depth == len(key):
                 break
             if key[depth]:

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from qpmatch import (
     init_state,
     max_iterations,
     measure_first_register,
+    recode_kgrams,
     run_once,
     success_probability,
     wilson_interval,
 )
 from qpmatch import search
 from qpmatch.search import _evolve, _state_buffer, _walk_schedules, trial_rng
+from qpmatch.simulation import NORM_TOL
 
 AMPLIFICATION_XFAIL = (
     "diffusion on the first register only cannot amplify matched windows; "
@@ -297,6 +300,24 @@ def _expected(n, m, schedule, pattern, idx):
     return measure_first_register(_evolve(n, m, schedule, pattern, idx))
 
 
+class _StepCounter(np.ndarray):
+    """A float64 state buffer that counts the walk's diffusion steps per measured key.
+
+    Each step takes one column sum, ``sum(axis=0)``, and each measurement one
+    row sum, ``sum(axis=1)``, which closes the count of the key it measures.
+    """
+
+    steps, costs = 0, []
+
+    def sum(self, *args, **kwargs):
+        if kwargs.get("axis") == 0:
+            _StepCounter.steps += 1
+        elif kwargs.get("axis") == 1:
+            _StepCounter.costs.append(_StepCounter.steps)
+            _StepCounter.steps = 0
+        return super().sum(*args, **kwargs)
+
+
 class TestFusedTrialLoop:
     """The prefix-shared walk must reproduce the dense complex reference bit for bit.
 
@@ -397,6 +418,25 @@ class TestFusedTrialLoop:
         with pytest.raises(ResourceError, match="r = 100"):
             estimate_distribution(text, pattern, idx, config)
 
+    def test_walk_shares_prefixes(self):
+        # Blocks of 16 trials, as one search-small command runs them.  The
+        # walk's total is pinned, so a change that loses sharing shows here.
+        total = own = 0
+        for n, m, offset, seed in ((256, 4, 200, 0), (212, 10, 190, 1)):
+            _, pattern, idx = planted_instance(n, m, offset, seed=seed)
+            in_t = _first_symbol_positions(pattern, idx)
+            for mc_seed in range(4):
+                keys = dict.fromkeys(_reduced(draw_schedule(trial_rng(mc_seed, t), n, m)) for t in range(16))
+                _StepCounter.steps, _StepCounter.costs = 0, []
+                got = _walk_schedules(_state_buffer(n, m).view(_StepCounter), keys, in_t)
+                assert len(_StepCounter.costs) == len(keys)
+                # The dict is filled in walk order, one key per measurement.
+                for key, cost in zip(got, _StepCounter.costs):
+                    assert cost <= len(key), (n, mc_seed, key)
+                total += sum(_StepCounter.costs)
+                own += sum(map(len, keys))
+        assert (total, own) == (602, 1005)
+
     def test_peak_memory_is_a_few_states(self):
         # One state buffer, one checkpoint and at most K stored distributions;
         # a buffer per schedule depth would take up to 17 states here.
@@ -409,3 +449,55 @@ class TestFusedTrialLoop:
         finally:
             tracemalloc.stop()
         assert peak < 3 * state_bytes
+
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def _golden_shapes():
+    """(label, text, pattern, config) of each ``tests/golden`` search, built through the library."""
+    planted256 = Text.from_file(GOLDEN_INPUTS / "planted256.bin")
+    planted212 = Text.from_file(GOLDEN_INPUTS / "planted212.bin")
+    pattern212 = Pattern.from_bytes((GOLDEN_INPUTS / "planted212.pat").read_bytes())
+    wxyz = Pattern.from_bytes(b"wxyz")
+    return [
+        ("planted256", planted256, wxyz, RunConfig(100, 42)),
+        ("planted212", planted212, pattern212, RunConfig(60, 7)),
+        ("kgram2", *recode_kgrams(planted256, wxyz, 2), RunConfig(50, 3)),
+        ("fixed0", planted212, pattern212, RunConfig(20, 1, 0)),
+        ("fixed5", planted256, wxyz, RunConfig(30, 5, 5)),
+        ("m_equals_n", Text.from_file(GOLDEN_INPUTS / "short61.bin"),
+         Pattern.from_bytes((GOLDEN_INPUTS / "short61.pat").read_bytes()), RunConfig(40, 11)),
+        ("absent_first_symbol", planted256, Pattern.from_bytes(b"Qxyz"), RunConfig(40, 2)),
+        ("repeated_symbol", Text.from_file(GOLDEN_INPUTS / "repeated100.bin"),
+         Pattern.from_bytes(b"abca"), RunConfig(40, 9)),
+    ]
+
+
+def _health_cases():
+    for label, text, pattern, idx in _edge_instances():
+        for r_mode in SCHEDULE_MODES:
+            yield f"{label} {_mode_id(r_mode)}", text, pattern, idx, RunConfig(12, 5, r_mode)
+    for label, text, pattern, config in _golden_shapes():
+        yield label, text, pattern, build_index(text), config
+
+
+class TestNumericalHealth:
+    def test_distributions_sum_to_one(self, monkeypatch):
+        # Every distribution the walk measures, and every averaged estimate,
+        # is a probability vector within simulation.NORM_TOL.
+        walked = []
+
+        def recording_walk(amps, keys, in_t):
+            distributions = _walk_schedules(amps, keys, in_t)
+            walked.extend(distributions.values())
+            return distributions
+
+        monkeypatch.setattr(search, "_walk_schedules", recording_walk)
+        for label, text, pattern, idx, config in _health_cases():
+            walked.clear()
+            dist = estimate_distribution(text, pattern, idx, config)
+            assert walked, label
+            for probs in walked:
+                assert abs(probs.sum() - 1.0) <= NORM_TOL, label
+            assert abs(dist.probabilities.sum() - 1.0) <= NORM_TOL, label
