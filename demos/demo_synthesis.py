@@ -36,7 +36,7 @@ def main() -> None:
     # 2. Boolean oracle marking positions of symbol 'a' in the text "abab".
     text = Text.from_bytes(b"abab")
     index = build_index(text)
-    f = index.indicator_for(ord("a")).bits
+    f = index.indicator_for(ord("a"))
     n = 2  # log2 of the text length
     oracle = synth_boolean_oracle(f, n)
     assert permutation_action(oracle) == lift_boolean(f, n)

@@ -7,7 +7,6 @@ from .text import (
     ClassicalMatchResult,
     OracleIndex,
     Pattern,
-    SymbolIndicator,
     Text,
     build_index,
     closest_match_classical,

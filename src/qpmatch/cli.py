@@ -211,7 +211,7 @@ def cmd_synth(args) -> int:
         text = Text.from_bytes(os.fsencode(args.oracle_text))
         n = max(1, (text.n - 1).bit_length())
         bits = np.zeros(2**n, dtype=np.uint8)
-        bits[: text.n] = build_index(text).indicator_for(symbol[0]).bits
+        bits[: text.n] = build_index(text).indicator_for(symbol[0])
         circuit = synth_boolean_oracle(bits, n)
         if args.verify:
             ok = permutation_action(circuit) == lift_boolean(bits, n)

@@ -241,7 +241,7 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
                                 f"per block of trials, beyond {STATE_BYTES_LIMIT}")
     amps = _state_buffer(n, m)
     k = amps.shape[1]
-    in_t = index.indicator_for(int(pattern.symbols[0])).bits.view(bool)
+    in_t = index.indicator_for(int(pattern.symbols[0])).view(bool)
     baseline = closest_match_classical(text, pattern)
     is_tie = np.zeros(n, dtype=bool)
     is_tie[list(baseline.offsets)] = True

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, ResourceError, _is_count
-from .text import SymbolIndicator
 
 #: Hard cap on the naive tensor dimension N^M.
 FULL_REFERENCE_LIMIT = 2**20
@@ -41,23 +40,23 @@ def init_state(n: int, m: int) -> np.ndarray:
     return amps
 
 
-def _query_signs(j, n: int, m: int, indicator: SymbolIndicator) -> np.ndarray:
-    """The +-1 phase of each position, once register j and the indicator fit N and M."""
+def _query_signs(j, n: int, m: int, bits: np.ndarray) -> np.ndarray:
+    """The +-1 phase of each position, once register j and the 0/1 bit vector fit N and M."""
     if not (_is_count(j) and 1 <= j <= m):
         raise DomainError(f"register index must be an integer in [1, {m}], got {j!r}")
-    if indicator.n != n:
-        raise DomainError(f"indicator length {indicator.n} does not match text length {n}")
-    return 1.0 - 2.0 * indicator.bits.astype(np.float64)
+    if np.shape(bits) != (n,):
+        raise DomainError(f"indicator length does not match text length {n}: got shape {np.shape(bits)}")
+    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
 
 
-def apply_query_phase(amps: np.ndarray, j: int, indicator: SymbolIndicator) -> np.ndarray:
-    """Phase-flip by the symbol membership of register j.
+def apply_query_phase(amps: np.ndarray, j: int, bits: np.ndarray) -> np.ndarray:
+    """Phase-flip by the symbol membership of register j, ``bits`` holding one 0/1 per position.
 
     Register 1 holds the free value i; register j >= 2 of tail column k holds
     position k + j - 1, so its phase is determined by the column alone.
     """
     n, k = amps.shape
-    signs = _query_signs(j, n, n - k + 1, indicator)
+    signs = _query_signs(j, n, n - k + 1, bits)
     if j == 1:
         return amps * signs[:, None]
     return amps * signs[j - 1 : j - 1 + k][None, :]
@@ -90,10 +89,10 @@ def embed_full(amps: np.ndarray) -> np.ndarray:
     return full
 
 
-def full_apply_query(full: np.ndarray, j: int, indicator: SymbolIndicator) -> np.ndarray:
+def full_apply_query(full: np.ndarray, j: int, bits: np.ndarray) -> np.ndarray:
     """Apply the literal operator I^(j-1) (x) U_sigma (x) I^(M-j)."""
     n, m = full.shape[0], full.ndim
-    signs = _query_signs(j, n, m, indicator)
+    signs = _query_signs(j, n, m, bits)
     return full * signs.reshape((n,) + (1,) * (m - j))
 
 

@@ -132,67 +132,57 @@ class Pattern:
 
 
 @dataclass(frozen=True)
-class SymbolIndicator:
-    """Membership bitvector of one symbol: bit i is set iff text[i] == symbol.
-
-    ``packed`` holds the n bits as ceil(n/8) read-only bytes in
-    ``np.packbits`` order, with the padding bits of the last byte zeroed.  One
-    that already is read-only uint8 with zero padding is kept, not copied.
-    """
-
-    symbol: int
-    packed: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        packed = self.packed
-        if not (isinstance(packed, np.ndarray) and packed.dtype == np.uint8 and not packed.flags.writeable):
-            packed = np.array(packed, dtype=np.uint8)
-        nbytes = (self.n + 7) // 8
-        if packed.ndim != 1 or len(packed) != nbytes:
-            raise DomainError(f"indicator of symbol {self.symbol} has {packed.size} bytes, expected {nbytes}")
-        padding = -self.n % 8
-        if padding and packed[-1] & ((1 << padding) - 1):
-            packed = packed.copy()
-            packed[-1] &= 0xFF << padding & 0xFF
-        packed.setflags(write=False)
-        object.__setattr__(self, "packed", packed)
-
-    @cached_property
-    def bits(self) -> np.ndarray:
-        """The n bits unpacked, one read-only uint8 per position; unpacked once, on first use."""
-        bits = np.unpackbits(self.packed, count=self.n)
-        bits.setflags(write=False)
-        return bits
-
-
-@dataclass(frozen=True)
 class OracleIndex:
-    """One :class:`SymbolIndicator` per alphabet symbol of a text of length n."""
+    """The query functions f_sigma of a text of length n: per symbol, the positions holding it.
+
+    ``indicators`` maps each integer symbol code to its n bits, bit i set iff
+    text[i] == symbol, packed into a one-dimensional uint8 array of ceil(n/8)
+    bytes in ``np.packbits`` order.  The constructor checks every entry and
+    stores a fresh dict of read-only entries with the padding bits of the last
+    byte zeroed; an entry that already is read-only with zero padding is
+    kept, not copied.
+    """
 
     n: int
     indicators: dict = field(default_factory=dict)
 
-    def indicator_for(self, symbol: int) -> SymbolIndicator:
-        """Indicator for ``symbol``, an integer code; all-zero for symbols outside the alphabet."""
+    def __post_init__(self):
+        if not (_is_count(self.n) and self.n >= 1):
+            raise DomainError(f"index length n must be an integer >= 1, got {self.n!r}")
+        nbytes, padding = (self.n + 7) // 8, -self.n % 8
+        entries = {}
+        for symbol, packed in self.indicators.items():
+            _check_symbol(symbol)
+            if not (isinstance(packed, np.ndarray) and packed.dtype == np.uint8 and packed.shape == (nbytes,)):
+                got = f"{packed.dtype} {packed.shape}" if isinstance(packed, np.ndarray) else type(packed).__name__
+                raise DomainError(f"indicator of symbol {symbol} must be {nbytes} uint8 bytes, got {got}")
+            if packed.flags.writeable or padding and packed[-1] & ((1 << padding) - 1):
+                packed = packed.copy()
+                packed[-1] &= 0xFF << padding & 0xFF
+            packed.setflags(write=False)
+            entries[int(symbol)] = packed
+        object.__setattr__(self, "indicators", entries)
+
+    def indicator_for(self, symbol: int) -> np.ndarray:
+        """The n bits of integer code ``symbol``, read-only uint8 unpacked per call; all zero off the alphabet."""
         _check_symbol(symbol)
-        ind = self.indicators.get(int(symbol))
-        if ind is None:
-            ind = SymbolIndicator(int(symbol), np.zeros((self.n + 7) // 8, dtype=np.uint8), self.n)
-        return ind
+        packed = self.indicators.get(int(symbol))
+        bits = np.zeros(self.n, dtype=np.uint8) if packed is None else np.unpackbits(packed, count=self.n)
+        bits.setflags(write=False)
+        return bits
 
     def to_json(self) -> str:
         """The index document, byte for byte what ``json.dumps(payload, sort_keys=True)`` writes.
 
         The payload has the keys ``alphabet``, ``indicators`` (base64 of each
-        ``packed``, keyed by the symbol in decimal), ``n`` and ``version``.
+        symbol's packed bytes, keyed by the symbol in decimal), ``n`` and ``version``.
         Base64 needs no JSON escaping, so the document is joined from its
         pieces instead of being scanned again by the encoder.
         """
         keys = sorted(str(sym) for sym in self.indicators)  # sort_keys orders them as strings
         parts = ['{"alphabet": [', ", ".join(str(sym) for sym in sorted(self.indicators)), '], "indicators": {']
         for i, key in enumerate(keys):
-            encoded = base64.b64encode(self.indicators[int(key)].packed).decode("ascii")
+            encoded = base64.b64encode(self.indicators[int(key)]).decode("ascii")
             parts.append(f'{", " if i else ""}"{key}": "{encoded}"')
         parts.append(f'}}, "n": {self.n}, "version": {INDEX_FORMAT_VERSION}}}')
         return "".join(parts)
@@ -211,11 +201,8 @@ class OracleIndex:
         version = payload.get("version")
         if type(version) is not int or version != INDEX_FORMAT_VERSION:
             raise DomainError(f"unsupported index format version: {version!r}")
-        if type(payload.get("n")) is not int or not isinstance(payload.get("indicators"), dict):
-            raise DomainError("index document needs an integer 'n' and an 'indicators' object")
-        n = payload["n"]
-        if n < 1:
-            raise DomainError(f"index length n must be >= 1, got {n}")
+        if not isinstance(payload.get("indicators"), dict):
+            raise DomainError("index document needs an 'indicators' object")
         indicators = {}
         for sym_str, encoded in payload["indicators"].items():
             try:
@@ -226,20 +213,21 @@ class OracleIndex:
             # int() also reads "01", "+1", " 1" and "1_0"; two such keys would name one symbol.
             if str(symbol) != sym_str:
                 raise DomainError(f"indicator key {sym_str!r} is not a symbol code in canonical decimal")
-            indicators[symbol] = SymbolIndicator(symbol, packed, n)
+            indicators[symbol] = packed
+        index = cls(payload.get("n"), indicators)  # checks n and every entry
         # Size by n only once indicators exist: each holds ceil(n/8) bytes, so the document bounds n.
-        covered = np.zeros((n + 7) // 8 if indicators else 0, dtype=np.uint8)
+        covered = np.zeros((index.n + 7) // 8 if indicators else 0, dtype=np.uint8)
         twice = covered.copy()
-        for ind in indicators.values():
-            twice |= covered & ind.packed
-            covered |= ind.packed
+        for packed in index.indicators.values():
+            twice |= covered & packed
+            covered |= packed
         if twice.any():
             byte = int(np.flatnonzero(twice)[0])  # packbits order: the first position is the top set bit
             raise DomainError(f"position {8 * byte + 8 - int(twice[byte]).bit_length()} is set in two indicators")
         alphabet = payload.get("alphabet")
         if alphabet != sorted(indicators) or any(type(a) is not int for a in alphabet):
             raise DomainError("alphabet does not match the indicator symbols")
-        return cls(n, indicators)
+        return index
 
 
 @dataclass(frozen=True)
@@ -262,8 +250,8 @@ def build_index(text: Text) -> OracleIndex:
     for sym in sorted(text.alphabet):  # every symbol occurs, so the dtype holds it
         np.equal(text.symbols, sym, out=hits)
         packed = np.packbits(hits)
-        packed.setflags(write=False)
-        indicators[sym] = SymbolIndicator(sym, packed, text.n)
+        packed.setflags(write=False)  # the constructor keeps a read-only entry without a copy
+        indicators[sym] = packed
     return OracleIndex(text.n, indicators)
 
 
@@ -274,7 +262,8 @@ def f_sigma(index: OracleIndex, symbol: int, i: int) -> int:
     _check_symbol(symbol)
     if int(symbol) not in index.indicators:
         raise DomainError(f"symbol {symbol!r} not in alphabet")
-    return int(index.indicators[int(symbol)].bits[i])
+    byte = int(index.indicators[int(symbol)][i // 8])
+    return byte >> (7 - i % 8) & 1  # packbits order: position 8b is the top bit of byte b
 
 
 def hamming_score(text: Text, pattern: Pattern, offset: int) -> int:

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmatch import (
     OracleIndex,
@@ -58,8 +65,8 @@ class TestIndexCommand:
         reloaded = OracleIndex.from_json(out.read_text())
         direct = build_index(Text.from_bytes(data))
         assert set(reloaded.indicators) == set(direct.indicators)
-        for sym, ind in direct.indicators.items():
-            assert (reloaded.indicators[sym].bits == ind.bits).all()
+        for sym, packed in direct.indicators.items():
+            assert np.array_equal(reloaded.indicators[sym], packed)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "index", "--text", str(tmp_path / "no"), "--out", str(tmp_path / "o"))
@@ -512,3 +519,74 @@ class TestExitCodes:
         self._assert_one_line_error(code, err, 3)
         assert err.startswith("resource limit:")
         assert peak < 32 * 2**20
+
+
+# --- the exit contract of index, baseline and search over drawn arguments ---
+
+R_VALUES = ["random", *(f"fixed:{k}" for k in range(7)), "fixed:-3", "fixed:03", "fixed:" + "9" * 25]
+
+
+@st.composite
+def cli_calls(draw):
+    """A drawn command, its text file's kind and bytes, and its other arguments (None: flag left out)."""
+    call = {"command": draw(st.sampled_from(["search", "search", "search", "index", "baseline"]))}
+    call["text"] = draw(st.sampled_from(["bytes", "bytes", "bytes", "empty", "directory", "missing"]))
+    call["data"] = draw(st.binary(min_size=1, max_size=64)) if call["text"] == "bytes" else b""
+    if call["command"] == "index":
+        call["out"] = draw(st.sampled_from(["file", "directory"]))  # --out is required
+        return call
+    # A pattern is raw bytes, non-UTF-8 ones included, passed the way the OS decodes argv.
+    pattern = draw(st.sampled_from([b"", call["data"] + b"x"]) | st.binary(min_size=1, max_size=8))
+    call["pattern"] = os.fsdecode(pattern)
+    formats = ["text", "json"] if call["command"] == "baseline" else ["json", "csv"]
+    call["format"] = draw(st.sampled_from(formats * 2 + ["csv" if call["command"] == "baseline" else "text"]))
+    if call["command"] == "search":
+        # A valid --trials above 8 is left out: a huge one is accepted and runs for an
+        # unbounded time, which the exit contract does not cover.
+        call["trials"] = draw(st.sampled_from([*range(1, 9), 0, -1]))
+        call["seed"] = draw(st.sampled_from([0, 2**64, -1]))
+        call["r"] = draw(st.sampled_from(R_VALUES))
+        call["kgram"] = draw(st.sampled_from([None, 2, 3]))
+        call["out"] = draw(st.sampled_from([None, "file", None, "file", "directory"]))
+    return call
+
+
+def _argv(call, tmp):
+    """The command line of a drawn call, its text file written under ``tmp``; also the output file path."""
+    text = {"directory": tmp, "missing": os.path.join(tmp, "missing")}.get(call["text"], os.path.join(tmp, "text"))
+    if call["text"] in ("bytes", "empty"):
+        with open(text, "wb") as fh:
+            fh.write(call["data"])
+    out = {"file": os.path.join(tmp, "out"), "directory": tmp, None: None}[call.get("out")]
+    argv = [call["command"], "--text", text]
+    if call["command"] != "index":
+        argv += ["--pattern", call["pattern"], "--format", call["format"]]
+    if call["command"] == "search":
+        argv += ["--trials", str(call["trials"]), "--seed", str(call["seed"]), "--r", call["r"]]
+        argv += ["--kgram", str(call["kgram"])] if call["kgram"] else []
+    if out is not None:
+        argv += ["--out", out]
+    return argv, out if call.get("out") == "file" else None
+
+
+def _run_in_process(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=250, database=None)
+@given(cli_calls())
+def test_exit_contract_over_drawn_arguments(call):
+    # A temporary directory per example: a function-scoped fixture is shared by all examples.
+    with tempfile.TemporaryDirectory() as tmp:
+        argv, out_file = _argv(call, tmp)
+        code, out, err = _run_in_process(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+            return
+        written = Path(out_file).read_bytes() if out_file else None
+        assert _run_in_process(argv) == (code, out, err)
+        assert (Path(out_file).read_bytes() if out_file else None) == written

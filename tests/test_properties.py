@@ -215,10 +215,11 @@ def test_codes_are_uint8_exactly_when_every_code_is_a_byte(codes):
 def test_index_of_an_alphabet_superset_zeroes_codes_the_text_cannot_hold(codes):
     index = build_index(Text(codes))
     assert sorted(index.indicators) == sorted(set(codes))
-    for sym, ind in index.indicators.items():
-        assert ind.bits.dtype == np.uint8 and not ind.bits.flags.writeable
-        assert ind.bits.tolist() == [int(c == sym) for c in codes]
-    assert not index.indicator_for(300).bits.any() and not index.indicator_for(2**40).bits.any()
+    for sym in index.indicators:
+        bits = index.indicator_for(sym)
+        assert bits.dtype == np.uint8 and not bits.flags.writeable
+        assert bits.tolist() == [int(c == sym) for c in codes]
+    assert not index.indicator_for(300).any() and not index.indicator_for(2**40).any()
 
 
 @bounded
@@ -228,8 +229,8 @@ def test_index_json_round_trip(codes):
     back = OracleIndex.from_json(index.to_json())
     assert back.n == index.n
     assert sorted(back.indicators) == sorted(index.indicators)
-    for sym, ind in index.indicators.items():
-        assert back.indicators[sym].bits.tolist() == ind.bits.tolist()
+    for sym in index.indicators:
+        assert back.indicator_for(sym).tolist() == index.indicator_for(sym).tolist()
 
 
 def _index_json_by_dumps(text, alphabet):
@@ -266,6 +267,33 @@ def test_index_document_is_what_json_dumps_wrote(case):
     assert index.to_json() == _index_json_by_dumps(text, alphabet)
     back = OracleIndex.from_json(index.to_json())
     assert sorted(back.indicators) == sorted(index.indicators)
-    for sym, ind in index.indicators.items():
-        assert back.indicators[sym].packed.tobytes() == ind.packed.tobytes()
-        assert back.indicators[sym].bits.tolist() == ind.bits.tolist()
+    for sym, packed in index.indicators.items():
+        assert back.indicators[sym].tobytes() == packed.tobytes()
+        assert back.indicator_for(sym).tolist() == index.indicator_for(sym).tolist()
+
+
+@st.composite
+def packed_entries(draw):
+    """A length n and disjoint entries: each position belongs to at most one drawn symbol, padding bits drawn."""
+    n = draw(st.integers(1, 40))
+    pool = draw(st.lists(symbol_codes, max_size=5, unique=True))
+    owners = draw(st.lists(st.integers(-1, len(pool) - 1), min_size=n, max_size=n))
+    entries = {}
+    for s, sym in enumerate(pool):
+        packed = np.packbits([owner == s for owner in owners])
+        packed[-1] |= draw(st.integers(0, 255)) & ((1 << (-n % 8)) - 1)
+        entries[sym] = packed
+    return n, entries
+
+
+@bounded
+@given(packed_entries())
+def test_index_of_disjoint_packed_entries_round_trips(case):
+    n, entries = case
+    index = OracleIndex(n, entries)
+    back = OracleIndex.from_json(index.to_json())
+    assert back.n == n
+    assert sorted(back.indicators) == sorted(entries)
+    for sym, packed in index.indicators.items():
+        assert back.indicators[sym].tobytes() == packed.tobytes()
+        assert np.unpackbits(packed)[n:].sum() == 0

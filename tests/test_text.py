@@ -9,10 +9,11 @@ from qpmatch import (
     DomainError,
     OracleIndex,
     Pattern,
-    SymbolIndicator,
+    RunConfig,
     Text,
     build_index,
     closest_match_classical,
+    estimate_distribution,
     f_sigma,
     hamming_score,
     recode_kgrams,
@@ -104,19 +105,19 @@ class TestEquality:
 class TestBuildIndex:
     def test_aba(self):
         idx = build_index(T("aba"))
-        assert idx.indicator_for(ord("a")).bits.tolist() == [1, 0, 1]
-        assert idx.indicator_for(ord("b")).bits.tolist() == [0, 1, 0]
+        assert idx.indicator_for(ord("a")).tolist() == [1, 0, 1]
+        assert idx.indicator_for(ord("b")).tolist() == [0, 1, 0]
 
     def test_single_symbol_text(self):
         idx = build_index(T("zzzz"))
         assert list(idx.indicators) == [ord("z")]
-        assert idx.indicator_for(ord("z")).bits.tolist() == [1, 1, 1, 1]
+        assert idx.indicator_for(ord("z")).tolist() == [1, 1, 1, 1]
 
     def test_partition_property(self):
         rng = np.random.default_rng(7)
         text = Text(rng.integers(0, 4, size=64))
         idx = build_index(text)
-        total = sum(ind.bits.astype(int) for ind in idx.indicators.values())
+        total = sum(idx.indicator_for(sym).astype(int) for sym in idx.indicators)
         assert (total == 1).all()
 
     def test_empty_text_rejected(self):
@@ -125,7 +126,7 @@ class TestBuildIndex:
 
     def test_unknown_symbol_gives_zero_indicator(self):
         idx = build_index(T("abc"))
-        assert idx.indicator_for(ord("x")).bits.sum() == 0
+        assert idx.indicator_for(ord("x")).sum() == 0
 
 
 class TestFSigma:
@@ -171,8 +172,8 @@ class TestFSigma:
         idx = build_index(Text([98, -1, 98]))
         assert f_sigma(idx, np.int64(98), 0) == 1
         assert f_sigma(idx, -1, 1) == 1
-        assert idx.indicator_for(np.int64(98)).bits.tolist() == [1, 0, 1]
-        assert idx.indicator_for(-1).bits.tolist() == [0, 1, 0]
+        assert idx.indicator_for(np.int64(98)).tolist() == [1, 0, 1]
+        assert idx.indicator_for(-1).tolist() == [0, 1, 0]
 
 
 class TestHammingScore:
@@ -269,6 +270,65 @@ class TestRecodeKgrams:
             recode_kgrams(T("abcd"), P("a"), 2)
 
 
+class TestIndexEntries:
+    """``OracleIndex`` checks and normalizes every entry when it is built."""
+
+    @pytest.mark.parametrize("key", ["a", "97", True, 1.5, None])
+    def test_key_must_be_an_integer_code(self, key):
+        with pytest.raises(DomainError, match="integer code"):
+            OracleIndex(3, {key: np.zeros(1, dtype=np.uint8)})
+
+    def test_numpy_integer_key_is_stored_as_int(self):
+        idx = OracleIndex(3, {np.int64(97): np.zeros(1, dtype=np.uint8)})
+        assert [type(key) for key in idx.indicators] == [int]
+        assert idx.to_json() == '{"alphabet": [97], "indicators": {"97": "AA=="}, "n": 3, "version": 1}'
+
+    @pytest.mark.parametrize(
+        "entry",
+        [[0], b"\x00", np.zeros(1, np.int64), np.zeros((1, 1), np.uint8), np.zeros(1, bool), None],
+        ids=["list", "bytes", "int64", "2-d", "bool", "None"],
+    )
+    def test_entry_must_be_a_one_dimensional_uint8_array(self, entry):
+        with pytest.raises(DomainError, match="must be 1 uint8 bytes"):
+            OracleIndex(3, {97: entry})
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, None])
+    def test_length_must_be_a_positive_integer(self, n):
+        with pytest.raises(DomainError, match="index length n"):
+            OracleIndex(n)
+
+    def test_nonzero_padding_is_zeroed_in_a_copy(self):
+        given = np.array([0xFF, 0xFF], dtype=np.uint8)  # n = 9: seven padding bits in the last byte
+        idx = OracleIndex(9, {5: given})
+        assert idx.indicators[5].tolist() == [0xFF, 0x80]
+        assert given.tolist() == [0xFF, 0xFF]
+        assert idx.indicator_for(5).tolist() == [1] * 9
+
+    def test_read_only_zero_padded_entry_is_kept(self):
+        packed = np.packbits([1, 0, 1])
+        packed.setflags(write=False)
+        assert OracleIndex(3, {97: packed}).indicators[97] is packed
+
+    def test_writable_entry_is_copied_read_only(self):
+        packed = np.packbits([1, 0, 1])
+        idx = OracleIndex(3, {97: packed})
+        packed[0] = 0
+        assert idx.indicators[97] is not packed and not idx.indicators[97].flags.writeable
+        assert idx.indicator_for(97).tolist() == [1, 0, 1]
+
+    def test_the_dict_is_a_fresh_copy(self):
+        given = {97: np.packbits([1, 0, 1])}
+        idx = OracleIndex(3, given)
+        given[98] = np.packbits([0, 1, 0])
+        assert list(idx.indicators) == [97]
+
+    def test_an_entry_for_another_length_is_refused_before_any_use(self):
+        # Nine bits (two bytes) under n = 3: refused when built, so no search broadcasts 3 rows against 9.
+        with pytest.raises(DomainError, match="indicator of symbol 97 must be 1 uint8 bytes"):
+            idx = OracleIndex(3, {97: np.zeros(2, dtype=np.uint8)})
+            estimate_distribution(T("aaa"), P("a"), idx, RunConfig(trials=1, seed=0))
+
+
 class TestIndexSerialization:
     def test_round_trip(self):
         idx = build_index(T("abracadabra"))
@@ -277,7 +337,7 @@ class TestIndexSerialization:
         assert back.n == idx.n
         assert set(back.indicators) == set(idx.indicators)
         for sym in idx.indicators:
-            assert (back.indicators[sym].bits == idx.indicators[sym].bits).all()
+            assert np.array_equal(back.indicators[sym], idx.indicators[sym])
 
     def test_schema_fields(self):
         payload = json.loads(build_index(T("aba")).to_json())
@@ -347,13 +407,13 @@ class TestIndexSerialization:
         payload = json.loads(build_index(T("aba")).to_json())
         payload["indicators"] = {"97": "vw==", "98": "Xw=="}  # 0xBF and 0x5F: bits 101 and 010, padding set
         back = OracleIndex.from_json(json.dumps(payload))
-        assert back.indicators[97].bits.tolist() == [1, 0, 1]
+        assert back.indicator_for(97).tolist() == [1, 0, 1]
         assert back.to_json() == build_index(T("aba")).to_json()
 
     @pytest.mark.parametrize("nbytes", [0, 1, 3])
     def test_indicator_of_wrong_byte_length_is_rejected(self, nbytes):
         with pytest.raises(DomainError):
-            SymbolIndicator(0, np.zeros(nbytes, dtype=np.uint8), 9)
+            OracleIndex(9, {0: np.zeros(nbytes, dtype=np.uint8)})
 
     def test_index_document_peak_memory(self):
         # 95 symbols over 256 KiB: 3 MiB of packed indicators and a 4.15 MB document.
@@ -432,5 +492,5 @@ class TestIndexSerialization:
         assert json.loads(doc)["indicators"].keys() == {"-1", "3"}
         back = OracleIndex.from_json(doc)
         assert back.to_json() == doc
-        assert back.indicator_for(-1).bits.tolist() == [1, 0, 1]
-        assert back.indicator_for(3).bits.tolist() == [0, 1, 0]
+        assert back.indicator_for(-1).tolist() == [1, 0, 1]
+        assert back.indicator_for(3).tolist() == [0, 1, 0]
