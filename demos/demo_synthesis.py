@@ -28,7 +28,7 @@ def main() -> None:
     # 1. One transposition on 3 qubits via a Gray-code path.
     width = 3
     circuit = synth_transposition(Transposition(1, 6), width)
-    images = tuple(permutation_action(circuit).images.tolist())
+    images = tuple(permutation_action(circuit).tolist())
     print(f"transposition 1<->6 on {width} qubits: {len(circuit.gates)} gates")
     print(emit_circuit(circuit))
     print(f"action: {images}  (1 and 6 swapped, everything else fixed)\n")
@@ -39,7 +39,7 @@ def main() -> None:
     f = index.indicator_for(ord("a"))
     n = 2  # log2 of the text length
     oracle = synth_boolean_oracle(f, n)
-    assert permutation_action(oracle) == lift_boolean(f, n)
+    assert np.array_equal(permutation_action(oracle), lift_boolean(f, n))
     report = gate_count(oracle)
     print(f"oracle for 'a' in \"abab\": indicator {[int(b) for b in f]}")
     print(emit_circuit(oracle))

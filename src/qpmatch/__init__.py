@@ -40,7 +40,6 @@ from .circuits import (
     Circuit,
     Gate,
     GateCountReport,
-    Permutation,
     Transposition,
     emit_circuit,
     expand_mcx,

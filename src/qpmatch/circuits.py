@@ -31,10 +31,11 @@ import re
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter, getitem
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, _is_count
+from .errors import DomainError, ResourceError, _is_count, _is_integer
 
 HADAMARD = "H"
 PAULI_X = "X"
@@ -50,10 +51,10 @@ CONTROL_ENTRIES_LIMIT = 2**21
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _ALL = slice(None)
+_POLARITIES = (bool, np.bool_)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate, plain data that :class:`Circuit` checks; ``controls`` holds (qubit, positive) pairs."""
 
     kind: str
@@ -66,7 +67,8 @@ class Circuit:
     """Gates over ``n_qubits`` qubits, first gate first; the one place a gate is checked.
 
     ``n_qubits`` must be an integer >= 0.  Each gate must be H, X or an MCX (only an MCX has
-    controls), repeat no qubit among its controls and target, and address only ``[0, n_qubits)``.
+    controls), name its qubits by Python or numpy integers (not bools) and its polarities by bools,
+    repeat no qubit among its controls and target, and address only ``[0, n_qubits)``.
     """
 
     n_qubits: int
@@ -81,48 +83,18 @@ class Circuit:
                 raise DomainError(f"unknown gate kind {g.kind!r}")
             if g.controls and g.kind != MCX:
                 raise DomainError(f"{g.kind} takes no controls")
-            qubits = {q for q, _ in g.controls}
-            qubits.add(g.target)
+            # type() first: _is_integer on each of an oracle's 12k controls costs about 1 ms.
+            if not (type(g.target) is int or _is_integer(g.target)):
+                raise DomainError(f"gate target must be an integer qubit, got {g.target!r}")
+            qubits = {g.target}
+            for q, positive in g.controls:
+                if not (type(q) is int or _is_integer(q)) or type(positive) not in _POLARITIES:
+                    raise DomainError(f"control must be an (integer qubit, bool) pair, got {(q, positive)!r}")
+                qubits.add(q)
             if len(qubits) <= len(g.controls):
                 raise DomainError("control qubits must be distinct from each other and the target")
             if min(qubits) < 0 or max(qubits) >= self.n_qubits:
                 raise DomainError("gate addresses qubit outside the circuit")
-
-
-@dataclass(frozen=True, eq=False)
-class Permutation:
-    """A bijection over [0, 2^width) given by its image table, a read-only int64 array.
-
-    Equal tables compare equal; a permutation is not hashable.
-    """
-
-    images: np.ndarray
-
-    def __post_init__(self):
-        images = np.array(self.images, dtype=np.int64)
-        images.flags.writeable = False
-        object.__setattr__(self, "images", images)
-        size = images.size
-        if images.ndim != 1 or (size and (images.min() < 0 or images.max() >= size)):
-            raise DomainError("image table is not a bijection")
-        hit = np.zeros(size, dtype=bool)
-        hit[images] = True
-        if not hit.all():
-            raise DomainError("image table is not a bijection")
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return np.array_equal(self.images, other.images)
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return int(self.images[x])
 
 
 @dataclass(frozen=True)
@@ -208,39 +180,44 @@ def _marked_words(f, n: int) -> np.ndarray:
     return np.flatnonzero(table)
 
 
-def lift_boolean(f, n: int) -> Permutation:
-    """Lift a Boolean function on n bits to the bijection (b, x) -> (b ^ f(x), x).
+def lift_boolean(f, n: int) -> np.ndarray:
+    """The int64 image table of the bijection (b, x) -> (b ^ f(x), x) lifting f on n bits.
 
     ``f`` is indexed by the n data bits; the extra bit b is the most
-    significant position of the lifted words.
+    significant position of the lifted words.  The table is fresh, and a
+    bijection by construction.
     """
     ones = _marked_words(f, n)
-    images = np.arange(2 ** (n + 1))
+    images = np.arange(2 ** (n + 1), dtype=np.int64)
     images[ones] = 2**n + ones
     images[2**n + ones] = ones
-    return Permutation(images)
+    return images
 
 
-def apply_transpositions(transpositions, size: int) -> Permutation:
-    """Operator-product composition: the last transposition acts first."""
-    images = np.arange(size)
+def apply_transpositions(transpositions, size: int) -> np.ndarray:
+    """The fresh int64 image table of the transpositions' operator product: the last acts first."""
+    images = np.arange(size, dtype=np.int64)
     for t in transpositions:  # images = images o t, so the last t acts first
         if max(t.a, t.b) >= size:  # a Transposition's endpoints are integers >= 0
             raise DomainError(f"transposition ({t.a} {t.b}) out of range [0, {size})")
         images[t.a], images[t.b] = images[t.b], images[t.a]
-    return Permutation(images)
+    return images
 
 
-def permutation_to_transpositions(p: Permutation):
-    """Split a permutation into at most 2^w - 1 transpositions.
+def permutation_to_transpositions(images):
+    """Split the permutation with image table ``images`` into at most len(images) - 1 transpositions.
 
-    Each cycle (c0 c1 ... cm) is emitted as (c0 cm)(c0 c(m-1)) ... (c0 c1),
-    read as an operator product.
+    The one check of a table: it must be a one-dimensional integer array (floats and bools are
+    refused, not truncated) holding each of 0 ... len - 1 once, or DomainError.  Each cycle
+    (c0 c1 ... cm) is emitted as (c0 cm)(c0 c(m-1)) ... (c0 c1), read as an operator product.
     """
-    images = p.images.tolist()
-    seen = [False] * p.size
+    table = np.asarray(images)
+    if table.ndim != 1 or table.dtype.kind not in "iu" or not np.array_equal(np.sort(table), np.arange(table.size)):
+        raise DomainError("image table is not a bijection")
+    images = table.tolist()
+    seen = [False] * len(images)
     out = []
-    for start in range(p.size):
+    for start in range(len(images)):
         if seen[start] or images[start] == start:
             seen[start] = True
             continue
@@ -321,13 +298,13 @@ def synth_transposition(t: Transposition, width: int) -> Circuit:
     return Circuit(width, _transposition_gates(t, width))
 
 
-def synth_permutation(p: Permutation, width: int) -> Circuit:
-    """Compile a permutation by concatenating its transposition ladders.
+def synth_permutation(images, width: int) -> Circuit:
+    """Compile the permutation with image table ``images`` by concatenating its transposition ladders.
 
     The transposition sequence is an operator product, so the ladders are
     laid down in reverse sequence order.
     """
-    transpositions = permutation_to_transpositions(p)
+    transpositions = permutation_to_transpositions(images)
     _check_control_entries(_ladder_entries(transpositions, width), "permutation")
     gates = []
     for t in reversed(transpositions):
@@ -527,8 +504,8 @@ def _fillings(free: int) -> np.ndarray:
     return fill
 
 
-def permutation_action(circuit: Circuit) -> Permutation:
-    """Exact basis-state action of an {X, MCX}-only circuit, as integers.
+def permutation_action(circuit: Circuit) -> np.ndarray:
+    """Exact basis-state action of an {X, MCX}-only circuit, as a fresh int64 image table.
 
     The gates are taken in maximal runs of consecutive gates on one target.  No X or MCX reads
     its own target, so the gates of a run commute, and together they flip the target bit of
@@ -543,7 +520,7 @@ def permutation_action(circuit: Circuit) -> Permutation:
     if any(gate.kind == HADAMARD for gate in circuit.gates):
         raise DomainError("circuit is not a basis permutation: contains Hadamard")
     bit = [1 << (n - 1 - q) for q in range(n)]
-    images = np.arange(2**n)
+    images = np.arange(2**n, dtype=np.int64)
     for target, run in groupby(reversed(circuit.gates), key=attrgetter("target")):
         run = tuple(run)
         values_by_free = {}  # the control values of the run's gates, keyed by their uncontrolled qubits
@@ -561,7 +538,7 @@ def permutation_action(circuit: Circuit) -> Permutation:
             words = words[hits % 2 == 1]
         partners = words | bit[target]
         images[words], images[partners] = images[partners], images[words]
-    return Permutation(images)
+    return images
 
 
 # --- cost accounting and MCX expansion ---

@@ -195,13 +195,13 @@ def cmd_search(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    # Permutation checks print a 0/1 "deviation"; permutation_action runs first
+    # Image-table checks print a 0/1 "deviation"; permutation_action runs first
     # so its qubit limit is checked before the expected table is built.
     if args.what == "transposition":
         t = Transposition(args.a, args.b)
         circuit = synth_transposition(t, args.width)
         if args.verify:
-            ok = permutation_action(circuit) == apply_transpositions([t], 2**args.width)
+            ok = np.array_equal(permutation_action(circuit), apply_transpositions([t], 2**args.width))
             dev = float(not ok)
         label = f"transposition {args.a}<->{args.b} width {args.width}"
     elif args.what == "oracle":
@@ -214,7 +214,7 @@ def cmd_synth(args) -> int:
         bits[: text.n] = build_index(text).indicator_for(symbol[0])
         circuit = synth_boolean_oracle(bits, n)
         if args.verify:
-            ok = permutation_action(circuit) == lift_boolean(bits, n)
+            ok = np.array_equal(permutation_action(circuit), lift_boolean(bits, n))
             dev = float(not ok)
         label = f"oracle for symbol {args.symbol!r} over {text.n} positions ({n} data qubits)"
     else:  # init-state

@@ -5,7 +5,6 @@ from qpmatch import (
     Circuit,
     DomainError,
     Gate,
-    Permutation,
     ResourceError,
     Transposition,
     emit_circuit,
@@ -67,24 +66,24 @@ class TestGrayCode:
 
 class TestLiftBoolean:
     def test_constant_zero_is_identity(self):
-        assert np.array_equal(lift_boolean([0, 0], 1).images, (0, 1, 2, 3))
+        assert np.array_equal(lift_boolean([0, 0], 1), (0, 1, 2, 3))
 
     def test_identity_function(self):
         # n=1, f(x)=x: swaps (b=0,x=1) <-> (b=1,x=1)
-        assert np.array_equal(lift_boolean([0, 1], 1).images, (0, 3, 2, 1))
+        assert np.array_equal(lift_boolean([0, 1], 1), (0, 3, 2, 1))
 
     def test_involution(self):
         rng = np.random.default_rng(1)
         for n in range(1, 7):
             f = rng.integers(0, 2, size=2**n)
             p = lift_boolean(f, n)
-            assert all(p(p(x)) == x for x in range(2 ** (n + 1)))
+            assert all(p[p[x]] == x for x in range(2 ** (n + 1)))
 
     def test_value_stored_in_top_bit(self):
         f = [1, 0, 1, 1]
         p = lift_boolean(f, 2)
         for x in range(4):
-            assert p(x) == (f[x] << 2) | x
+            assert p[x] == (f[x] << 2) | x
 
     def test_rejects_values_that_are_not_bits(self):
         with pytest.raises(DomainError, match="bits"):
@@ -96,34 +95,36 @@ class TestLiftBoolean:
 
 
 class TestPermutation:
-    def test_images_are_a_read_only_int64_array(self):
-        source = np.array([2, 0, 1])
-        p = Permutation(source)
-        source[0] = 0
-        assert p.images.dtype == np.int64
-        assert np.array_equal(p.images, (2, 0, 1))
-        with pytest.raises(ValueError):
-            p.images[0] = 1
+    """A permutation is its image table, checked where a table from outside enters."""
 
-    def test_equal_tables_compare_equal_and_are_not_hashable(self):
-        assert Permutation((1, 0, 2)) == Permutation(np.array([1, 0, 2]))
-        assert Permutation((1, 0, 2)) != Permutation((0, 1, 2))
-        assert Permutation((1, 0)) != (1, 0)
-        with pytest.raises(TypeError):
-            hash(Permutation((1, 0)))
-
-    @pytest.mark.parametrize("images", [(0, 0), (1, 2), (-1, 0), ((0, 1),), 3])
+    # Floats and bools are refused, not truncated: (1.5, 0.2) and (True, False) are not the swap (1 0).
+    @pytest.mark.parametrize("images", [(0, 0), (1, 2), (-1, 0), ((0, 1),), 3, (1.5, 0.2), (True, False),
+                                        np.array([1.0, 0.0]), (0, 2**64)])
     def test_rejects_tables_that_are_not_bijections(self, images):
-        with pytest.raises(DomainError):
-            Permutation(images)
+        with pytest.raises(DomainError, match="image table is not a bijection"):
+            permutation_to_transpositions(images)
+        with pytest.raises(DomainError, match="image table is not a bijection"):
+            synth_permutation(images, 1)
+
+    @pytest.mark.parametrize("images", [(1, 0), np.array([1, 0], dtype=np.uint8), np.array([1, 0], dtype=np.uint64)])
+    def test_accepts_tables_of_any_integer_dtype(self, images):
+        assert permutation_to_transpositions(images) == [Transposition(0, 1)]
+        assert synth_permutation(images, 1).gates == (Gate("X", 0),)
+
+    def test_builders_return_fresh_writable_int64_tables(self):
+        circuit = synth_transposition(Transposition(0, 3), 2)
+        tables = (lift_boolean([0, 1], 1), apply_transpositions([Transposition(0, 3)], 4), permutation_action(circuit))
+        for table in tables:
+            assert type(table) is np.ndarray and table.dtype == np.int64 and table.flags.writeable
+        assert permutation_action(circuit) is not permutation_action(circuit)
 
 
 class TestPermutationToTranspositions:
     def test_identity_empty(self):
-        assert permutation_to_transpositions(Permutation(tuple(range(8)))) == []
+        assert permutation_to_transpositions(tuple(range(8))) == []
 
     def test_single_swap(self):
-        ts = permutation_to_transpositions(Permutation((3, 1, 2, 0)))
+        ts = permutation_to_transpositions((3, 1, 2, 0))
         assert ts == [Transposition(0, 3)]
 
     def test_recomposition_random(self):
@@ -131,10 +132,9 @@ class TestPermutationToTranspositions:
         for _ in range(40):
             w = int(rng.integers(1, 9))
             images = tuple(int(v) for v in rng.permutation(2**w))
-            p = Permutation(images)
-            ts = permutation_to_transpositions(p)
+            ts = permutation_to_transpositions(images)
             assert len(ts) <= 2**w - 1
-            assert np.array_equal(apply_transpositions(ts, 2**w).images, images)
+            assert np.array_equal(apply_transpositions(ts, 2**w), images)
 
     @pytest.mark.parametrize("t", [Transposition(1, 9), Transposition(4, 0)])
     def test_apply_rejects_endpoints_outside_the_table(self, t):
@@ -150,7 +150,7 @@ class TestPermutationToTranspositions:
 
     def test_numpy_integer_endpoints_are_counts(self):
         t = Transposition(np.int64(1), np.uint8(2))
-        assert apply_transpositions([t], 4).images.tolist() == [0, 2, 1, 3]
+        assert apply_transpositions([t], 4).tolist() == [0, 2, 1, 3]
 
 
 class TestSynthTransposition:
@@ -174,7 +174,7 @@ class TestSynthTransposition:
             action = permutation_action(circuit)
             expected = list(range(2**width))
             expected[a], expected[b] = b, a
-            assert np.array_equal(action.images, tuple(expected))
+            assert np.array_equal(action, tuple(expected))
 
 
 class TestBooleanOracle:
@@ -183,13 +183,13 @@ class TestBooleanOracle:
 
     def test_identity_function_is_controlled_x(self):
         circuit = synth_boolean_oracle([0, 1], 1)
-        assert np.array_equal(permutation_action(circuit).images, (0, 3, 2, 1))
+        assert np.array_equal(permutation_action(circuit), (0, 3, 2, 1))
 
     def test_text_indicator(self):
         # f = indicator of 'a' in "abab" over 2 data bits
         f = [1, 0, 1, 0]
         circuit = synth_boolean_oracle(f, 2)
-        assert np.array_equal(permutation_action(circuit).images, lift_boolean(f, 2).images)
+        assert np.array_equal(permutation_action(circuit), lift_boolean(f, 2))
 
     def test_random_exact(self):
         rng = np.random.default_rng(4)
@@ -197,7 +197,7 @@ class TestBooleanOracle:
             n = int(rng.integers(1, 7))
             f = rng.integers(0, 2, size=2**n)
             circuit = synth_boolean_oracle(f, n)
-            assert np.array_equal(permutation_action(circuit).images, lift_boolean(f, n).images)
+            assert np.array_equal(permutation_action(circuit), lift_boolean(f, n))
 
 
 class TestPhaseOracle:
@@ -315,7 +315,7 @@ class TestDenseSimulation:
 
     def test_negative_controls(self):
         circuit = Circuit(2, (Gate("MCX", 1, ((0, False),)),))
-        assert np.array_equal(permutation_action(circuit).images, (1, 0, 2, 3))
+        assert np.array_equal(permutation_action(circuit), (1, 0, 2, 3))
 
     def test_mcx_controlled_by_every_other_qubit(self):
         # Fixing all five qubits leaves one amplitude on each side of the gate
@@ -336,7 +336,7 @@ class TestDenseSimulation:
         gates = synth_transposition(t1, 20).gates + synth_transposition(t2, 20).gates
         # t1's gates act first, so t1 is the last factor of the operator product.
         expected = apply_transpositions([t2, t1], 2**20)
-        assert permutation_action(Circuit(20, gates)) == expected
+        assert np.array_equal(permutation_action(Circuit(20, gates)), expected)
 
 
 def full_sweep_from_basis_state(circuit, basis_input):
@@ -469,7 +469,7 @@ class TestPermutationAction:
 
     @staticmethod
     def assert_matches_the_full_sweep(circuit):
-        images = permutation_action(circuit).images
+        images = permutation_action(circuit)
         assert images.dtype == np.int64
         assert images.tobytes() == full_sweep_images(circuit).tobytes()
 
@@ -497,14 +497,14 @@ class TestPermutationAction:
         h = Gate("MCX", 2, ((1, True),))
         circuit = Circuit(4, (g, h, g))
         self.assert_matches_the_full_sweep(circuit)
-        assert permutation_action(circuit) == permutation_action(Circuit(4, (h,)))
-        assert permutation_action(Circuit(4, (g, g))) == permutation_action(Circuit(4))
+        assert np.array_equal(permutation_action(circuit), permutation_action(Circuit(4, (h,))))
+        assert np.array_equal(permutation_action(Circuit(4, (g, g))), permutation_action(Circuit(4)))
 
     def test_an_uncontrolled_x_inside_a_run(self):
         # The X flips q1 everywhere; with +q0 also firing, words with q0 = 1 keep their q1.
         gates = (Gate("MCX", 1, ((0, True),)), Gate("X", 1), Gate("MCX", 1, ((2, False),)))
         self.assert_matches_the_full_sweep(Circuit(3, gates))
-        images = permutation_action(Circuit(3, gates[:2])).images
+        images = permutation_action(Circuit(3, gates[:2]))
         assert images.tolist() == [2, 3, 0, 1, 4, 5, 6, 7]
 
     def test_partial_controls_of_mixed_polarity(self):
@@ -512,19 +512,19 @@ class TestPermutationAction:
         gate = Gate("MCX", 3, ((0, True), (2, False), (5, True)))
         circuit = Circuit(6, (gate,))
         self.assert_matches_the_full_sweep(circuit)
-        moved = np.flatnonzero(permutation_action(circuit).images != np.arange(64))
+        moved = np.flatnonzero(permutation_action(circuit) != np.arange(64))
         assert len(moved) == 8
         assert all(x >> 5 & 1 and not x >> 3 & 1 and x & 1 for x in moved)
 
     def test_a_change_of_target_ends_the_run(self):
         gates = (Gate("MCX", 0, ((1, True),)), Gate("MCX", 1, ((0, True),)), Gate("MCX", 0, ((1, True),)))
         self.assert_matches_the_full_sweep(Circuit(2, gates))
-        assert permutation_action(Circuit(2, gates)).images.tolist() == [0, 2, 1, 3]
+        assert permutation_action(Circuit(2, gates)).tolist() == [0, 2, 1, 3]
 
     @pytest.mark.parametrize("circuit", [Circuit(0), Circuit(3)])
     def test_empty_circuits_are_the_identity(self, circuit):
         self.assert_matches_the_full_sweep(circuit)
-        assert permutation_action(circuit).images.tolist() == list(range(2**circuit.n_qubits))
+        assert permutation_action(circuit).tolist() == list(range(2**circuit.n_qubits))
 
 
 class TestGateCount:
@@ -561,7 +561,7 @@ class TestExpandMcx:
         circuit = Circuit(2, (Gate("MCX", 1, ((0, False),)),))
         out = expand_mcx(circuit)
         assert [g.kind for g in out.gates] == ["X", "MCX", "X"]
-        assert np.array_equal(permutation_action(out).images, permutation_action(circuit).images)
+        assert np.array_equal(permutation_action(out), permutation_action(circuit))
 
     def test_action_preserved_with_clean_work_register(self):
         rng = np.random.default_rng(6)
@@ -575,7 +575,7 @@ class TestExpandMcx:
             action = permutation_action(expanded)
             shift = (n_controls - 2)  # work qubits appended at the bottom
             for x in range(2**qubits):
-                assert action(x << shift) == base(x) << shift  # work register returns to 0
+                assert action[x << shift] == base[x] << shift  # work register returns to 0
 
     def test_only_basic_gates_remain(self):
         circuit = synth_transposition(Transposition(0, 2**6 - 1), 6)
@@ -648,6 +648,29 @@ class TestTextFormat:
             else:
                 parse_circuit(f"QUBITS 2\n{source}\n")
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            Gate("X", 1.0),
+            Gate("X", True),
+            Gate("H", np.float64(0)),
+            Gate("X", [1]),
+            Gate("MCX", 0, ((1, 2),)),
+            Gate("MCX", 0, ((1, 1),)),
+            Gate("MCX", 0, ((True, True),)),
+            Gate("MCX", 1, ((0.0, False),)),
+            Gate("MCX", 1, (([0], True),)),
+        ],
+    )
+    def test_circuit_refuses_qubits_and_polarities_of_other_types(self, gate):
+        with pytest.raises(DomainError, match="integer qubit"):
+            Circuit(2, (gate,))
+
+    def test_numpy_integer_qubits_and_bool_polarities_are_accepted(self):
+        circuit = Circuit(np.int64(2), (Gate("MCX", np.int64(1), ((np.uint8(0), np.True_),)),))
+        assert emit_circuit(circuit) == "QUBITS 2\nMCX +q0 -> q1\n"
+        assert permutation_action(circuit).tolist() == [0, 1, 3, 2]
+
     @pytest.mark.parametrize("n_qubits", [-1, 2.5, True, "2"])
     def test_circuit_qubit_count_must_be_a_count(self, n_qubits):
         with pytest.raises(DomainError, match="qubit count must be an integer >= 0"):
@@ -665,8 +688,8 @@ class TestSynthPermutation:
         for _ in range(20):
             w = int(rng.integers(1, 7))
             images = tuple(int(v) for v in rng.permutation(2**w))
-            circuit = synth_permutation(Permutation(images), w)
-            assert np.array_equal(permutation_action(circuit).images, images)
+            circuit = synth_permutation(images, w)
+            assert np.array_equal(permutation_action(circuit), images)
 
 
 class TestSynthesisStructure:
@@ -680,7 +703,7 @@ class TestSynthesisStructure:
 
         monkeypatch.setattr(Circuit, "__post_init__", counting)
         rng = np.random.default_rng(8)
-        p = Permutation(tuple(int(v) for v in rng.permutation(32)))
+        p = tuple(int(v) for v in rng.permutation(32))
         f = rng.integers(0, 2, size=64)
         calls = (
             lambda: synth_transposition(Transposition(0b00101, 0b11010), 5),
@@ -712,7 +735,7 @@ def _no_gate(*args):
 
 SYNTHESES = {
     "transposition": lambda: synth_transposition(Transposition(0b00101, 0b11010), 5),
-    "permutation": lambda: synth_permutation(Permutation(np.random.default_rng(8).permutation(32)), 5),
+    "permutation": lambda: synth_permutation(np.random.default_rng(8).permutation(32), 5),
     "oracle": lambda: synth_boolean_oracle(np.random.default_rng(8).integers(0, 2, size=64), 6),
     "phase oracle": lambda: synth_phase_oracle(np.random.default_rng(8).integers(0, 2, size=64), 6),
     "init-state": lambda: synth_init_state_circuit(3, 4),
@@ -772,4 +795,4 @@ class TestControlEntryBound:
         with pytest.raises(DomainError, match="width"):
             synth_transposition(Transposition(0, 3), 2.5)
         with pytest.raises(DomainError, match="out of range"):
-            synth_permutation(Permutation(np.arange(8)[::-1]), 2)
+            synth_permutation(np.arange(8)[::-1], 2)

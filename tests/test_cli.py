@@ -576,17 +576,65 @@ def _run_in_process(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def _assert_exit_contract(argv, out_file):
+    """Exit 0-3; a failure writes one stderr line and no traceback; a success replays byte for byte."""
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+        return
+    written = Path(out_file).read_bytes() if out_file else None
+    assert _run_in_process(argv) == (code, out, err)
+    assert (Path(out_file).read_bytes() if out_file else None) == written
+
+
 @settings(derandomize=True, deadline=None, max_examples=250, database=None)
 @given(cli_calls())
 def test_exit_contract_over_drawn_arguments(call):
     # A temporary directory per example: a function-scoped fixture is shared by all examples.
     with tempfile.TemporaryDirectory() as tmp:
-        argv, out_file = _argv(call, tmp)
-        code, out, err = _run_in_process(argv)
-        assert code in (0, 1, 2, 3)
-        if code:
-            assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
-            return
-        written = Path(out_file).read_bytes() if out_file else None
-        assert _run_in_process(argv) == (code, out, err)
-        assert (Path(out_file).read_bytes() if out_file else None) == written
+        _assert_exit_contract(*_argv(call, tmp))
+
+
+# --- the same contract for synth and scaling-report ---
+
+def _mostly_valid(valid, invalid):
+    """Half the draws from ``valid`` alone, half from every value."""
+    return st.sampled_from(valid) | st.sampled_from(valid + invalid)
+
+
+@st.composite
+def synth_calls(draw):
+    """A drawn synth or scaling-report command line and the kind of its --emit or --out target."""
+    what = draw(st.sampled_from(["transposition", "oracle", "init-state", "scaling-report"]))
+    if what == "transposition":
+        width = draw(_mostly_valid([1, 2, 3, 4, 5, 6], [-1, 0, 21, 3000]))
+        ends = [-1, 0, 1, 7, 2**63]
+        a, b = draw(_mostly_valid([(0, 1), (1, 7), (7, 0)], [(a, b) for a in ends for b in ends]))
+        argv = ["synth", what, "--width", width, "--a", a, "--b", b]
+    elif what == "oracle":
+        # A symbol is one byte, a two-byte character, a non-UTF-8 byte as the OS decodes it, or empty.
+        symbol = draw(_mostly_valid(["a", os.fsdecode(b"\xff")], ["\u00e9", ""]))
+        text = draw(st.lists(st.sampled_from(["a", "b", "\u00e9", os.fsdecode(b"\xff")]) | st.characters(), max_size=40))
+        argv = ["synth", what, "--text", "".join(text), "--symbol", symbol]
+    elif what == "init-state":
+        s, m = draw(_mostly_valid([1, 2, 3, 10], [-1, 0, 11])), draw(_mostly_valid([2, 3], [-1, 1, 10**9]))
+        argv = ["synth", what, "--s", s, "--m", m]
+    else:
+        n_min, n_max = draw(_mostly_valid([1, 2], [-1, 0, 5, 20])), draw(_mostly_valid([2, 5], [-1, 0, 1, 20]))
+        seed = draw(_mostly_valid([None, 0, 2**64], [-1]))
+        argv = [what, "--n-min", n_min, "--n-max", n_max] + ([] if seed is None else ["--seed", seed])
+    if what != "scaling-report" and draw(st.booleans()):
+        argv.append("--verify")
+    return [str(arg) for arg in argv], draw(st.sampled_from([None, "file", "directory"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(synth_calls())
+def test_exit_contract_of_synth_and_scaling_report_over_drawn_arguments(case):
+    argv, target = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {"file": os.path.join(tmp, "out"), "directory": tmp, None: None}[target]
+        if out is not None:
+            argv = argv + ["--out" if argv[0] == "scaling-report" else "--emit", out]
+        _assert_exit_contract(argv, out if target == "file" else None)

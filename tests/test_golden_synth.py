@@ -13,7 +13,7 @@ to an output byte fails here.
 - ``kernels.json`` holds seeded random {H, X, MCX} circuits with mixed
   control polarities, in the text format, and the sha256 of the bytes of
   ``simulate_statevector(c, x)``, of ``simulate_unitary(c)`` and of
-  ``permutation_action(c).images`` (int64, only for Hadamard-free circuits).
+  ``permutation_action(c)`` (int64, only for Hadamard-free circuits).
   Signed zeros count.
 
 Regenerating the pins is only right when an output change is intended::
@@ -90,7 +90,7 @@ def _random_circuit(rng, n: int, with_hadamard: bool) -> Circuit:
 
 def _kernel_digests(circuit: Circuit, basis_input: int) -> dict:
     has_hadamard = any(g.kind == "H" for g in circuit.gates)
-    images = None if has_hadamard else np.asarray(permutation_action(circuit).images, dtype=np.int64)
+    images = None if has_hadamard else np.asarray(permutation_action(circuit), dtype=np.int64)
     return {
         "statevector": _sha(simulate_statevector(circuit, basis_input).tobytes()),
         "unitary": _sha(simulate_unitary(circuit).tobytes()),

@@ -17,8 +17,8 @@ from qpmatch import (
     Gate,
     OracleIndex,
     Pattern,
-    Permutation,
     Text,
+    Transposition,
     build_index,
     closest_match_classical,
     emit_circuit,
@@ -32,6 +32,7 @@ from qpmatch import (
     synth_boolean_oracle,
     synth_permutation,
 )
+from qpmatch.circuits import apply_transpositions
 
 bounded = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -105,9 +106,8 @@ def test_any_gate_line_parses_or_raises_domain_error(line):
 @bounded
 @given(st.integers(1, 6).flatmap(lambda w: st.permutations(range(2**w))))
 def test_synthesized_permutation_acts_exactly(images):
-    p = Permutation(tuple(images))
-    width = p.size.bit_length() - 1
-    assert np.array_equal(permutation_action(synth_permutation(p, width)).images, p.images)
+    width = len(images).bit_length() - 1
+    assert np.array_equal(permutation_action(synth_permutation(tuple(images), width)), images)
 
 
 # (f, n): all-zero, all-one and drawn tables, sometimes longer than 2^n.
@@ -118,6 +118,47 @@ boolean_tables = st.integers(1, 7).flatmap(
         st.just(n),
     )
 )
+
+
+@st.composite
+def basis_circuits(draw):
+    """{X, MCX} circuits of 1-10 qubits as runs of gates on one target; a run may repeat a gate."""
+    n = draw(st.integers(1, 10))
+    gs = []
+    for _ in range(draw(st.integers(0, 6))):
+        target = draw(st.integers(0, n - 1))
+        others = [q for q in range(n) if q != target]
+        controls = st.lists(
+            st.tuples(st.sampled_from(others), st.booleans()) if others else st.nothing(),
+            unique_by=lambda control: control[0],
+        )
+        run = [Gate("MCX", target, tuple(c)) if c else Gate("X", target)
+               for c in draw(st.lists(controls, min_size=1, max_size=3))]
+        if draw(st.booleans()):
+            run.append(draw(st.sampled_from(run)))
+        gs += draw(st.permutations(run))
+    return Circuit(n, tuple(gs))
+
+
+transposition_lists = st.integers(2, 64).flatmap(
+    lambda size: st.tuples(
+        st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(lambda ab: ab[0] != ab[1]),
+                 max_size=10).map(lambda pairs: [Transposition(a, b) for a, b in pairs]),
+        st.just(size),
+    )
+)
+
+
+# The builders return their tables unchecked: each must be a bijection by construction.
+@bounded
+@given(basis_circuits().map(lambda c: (permutation_action, (c,)))
+       | boolean_tables.map(lambda case: (lift_boolean, case))
+       | transposition_lists.map(lambda case: (apply_transpositions, case)))
+def test_built_image_tables_are_bijections(case):
+    build, args = case
+    table = build(*args)
+    assert table.dtype == np.int64
+    assert np.array_equal(np.sort(table), np.arange(len(table)))
 
 
 @bounded

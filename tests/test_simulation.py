@@ -152,6 +152,22 @@ class TestMeasurement:
                 measure_first_register(state), marginal.sum(axis=1), atol=1e-10
             )
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "at M = 1 the K windows share the empty tail, so their columns must add coherently "
+        "before squaring; ROADMAP item 10"
+    ))
+    def test_matches_full_reference_marginal_at_m_1(self):
+        # States the operators reach: at M = 1 the columns of a random array need not embed
+        # to a unit vector.  Here the first register reads 0.0625 at position 15, the reference 0.961.
+        bits = np.zeros(16, dtype=np.uint8)
+        bits[15] = 1
+        state = init_state(16, 1)
+        for _ in range(3):
+            state = apply_diffusion(apply_query_phase(state, 1, bits))
+        ref = embed_full(state)
+        assert np.isclose(np.linalg.norm(ref), 1.0)
+        assert np.allclose(measure_first_register(state), np.abs(ref) ** 2, atol=1e-10)
+
 
 class TestFullReference:
     def test_query_involution(self):
