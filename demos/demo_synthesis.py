@@ -14,10 +14,9 @@ from qpmatch import (
     emit_circuit,
     expand_mcx,
     gate_count,
-    init_state_target,
+    init_state_fidelity,
     lift_boolean,
     permutation_action,
-    simulate_statevector,
     synth_boolean_oracle,
     synth_init_state_circuit,
     synth_transposition,
@@ -51,9 +50,7 @@ def main() -> None:
     # 3. Initial-state circuit for window size M=2 over 2^3 positions.
     s, m = 3, 2
     prep = synth_init_state_circuit(s, m)
-    out = simulate_statevector(prep)
-    target = init_state_target(s, m)
-    fidelity = abs(np.vdot(target, out)) ** 2
+    fidelity = init_state_fidelity(prep, s, m)
     print(f"init-state circuit s={s}, M={m}: {len(prep.gates)} gates on {prep.n_qubits} qubits")
     print(f"fidelity against the closed-form target: {fidelity:.15f}")
 

@@ -45,6 +45,7 @@ from .circuits import (
     expand_mcx,
     gate_count,
     gray_code,
+    init_state_fidelity,
     init_state_target,
     lift_boolean,
     oracle_gate_count,

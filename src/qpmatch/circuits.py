@@ -23,10 +23,13 @@ reverses the transposition sequence.
 
 Verification is exact: a dense unitary, a statevector on its sparse support,
 and a basis permutation moved as integer labels per run of same-target gates.
+The init-state circuit is checked by its overlap with the target, gathered
+from the sparse support and summed with ``math.fsum``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -482,6 +485,31 @@ def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
     state = np.zeros(2**n, dtype=np.complex128)
     state[pos] = amp
     return state
+
+
+def init_state_fidelity(circuit: Circuit, s: int, m: int) -> float:
+    """|<target|out>|^2 of ``circuit`` run from |0>, for the target of :func:`init_state_target`.
+
+    The target holds 2^(-s/2) at the 2^s windows (k, k + 1, ..., k + m - 1) mod 2^s and +0
+    elsewhere, so the overlap is 2^(-s/2) times the sum of the output's amplitudes there.  They
+    are looked up on the sparse support (:func:`_apply_gates_sparse`), a window off the support
+    counting as +0; support off the windows adds nothing, and with the state's norm of 1 it
+    already lowers the overlap.  ``math.fsum`` rounds the sum correctly, so the result does not
+    depend on the summation order, the host or BLAS, and no 2^(s*m) vector is built.
+    """
+    n = circuit.n_qubits
+    if n > STATEVECTOR_QUBIT_LIMIT:
+        raise ResourceError(f"{n} qubits exceeds the statevector limit of {STATEVECTOR_QUBIT_LIMIT}")
+    if not (_is_count(s) and _is_count(m)) or s < 1 or s * m != n:
+        raise DomainError(f"require s >= 1 and s*M = {n} qubits, got s={s!r}, M={m!r}")
+    pos, amp = _apply_gates_sparse(circuit.gates, n, 0)
+    support = dict(zip(pos.tolist(), amp.tolist()))
+    k = np.arange(2**s, dtype=np.int64)
+    windows = np.zeros(2**s, dtype=np.int64)
+    for t in range(m):
+        windows = (windows << s) | ((k + t) & (2**s - 1))
+    weight = 2 ** (-s / 2)
+    return abs(math.fsum(weight * support.get(w, 0.0) for w in windows.tolist())) ** 2
 
 
 def simulate_unitary(circuit: Circuit) -> np.ndarray:

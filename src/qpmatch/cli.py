@@ -25,6 +25,7 @@ from .circuits import (
     apply_transpositions,
     emit_circuit,
     gate_count,
+    init_state_fidelity,
     init_state_target,
     lift_boolean,
     oracle_gate_count,
@@ -36,10 +37,11 @@ from .circuits import (
 )
 from .errors import DomainError, ResourceError
 # benchmarks/tracing.py wraps names looked up on this module and fails if one
-# is unbound.  Among them: success_probability, no longer called here, and
-# simulate_statevector, init_state_target, gate_count and synth_boolean_oracle,
-# which only the synth commands call now that scaling-report counts gates
-# without building circuits.
+# is unbound.  Among them: success_probability, simulate_statevector and
+# init_state_target, which no command calls (synth init-state --verify takes
+# init_state_fidelity on the sparse support), and gate_count and
+# synth_boolean_oracle, which only the synth commands call now that
+# scaling-report counts gates without building circuits.
 from .search import RunConfig, estimate_distribution, success_probability
 from .text import (
     OracleIndex,
@@ -220,9 +222,7 @@ def cmd_synth(args) -> int:
     else:  # init-state
         circuit = synth_init_state_circuit(args.s, args.m)
         if args.verify:
-            out = simulate_statevector(circuit, 0)
-            target = init_state_target(args.s, args.m)
-            fidelity = abs(np.vdot(target, out)) ** 2
+            fidelity = init_state_fidelity(circuit, args.s, args.m)
             ok, dev = fidelity >= 1 - 1e-10, float(abs(1 - fidelity))
         label = f"init-state s={args.s} M={args.m}"
 

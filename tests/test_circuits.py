@@ -11,6 +11,7 @@ from qpmatch import (
     expand_mcx,
     gate_count,
     gray_code,
+    init_state_fidelity,
     init_state_target,
     lift_boolean,
     parse_circuit,
@@ -273,6 +274,37 @@ class TestInitStateCircuit:
     def test_rejects_sizes_that_are_not_integers(self, s, m):
         with pytest.raises(DomainError, match="require s >= 1 and M >= 2"):
             synth_init_state_circuit(s, m)
+
+
+class TestInitStateFidelity:
+    @pytest.mark.parametrize("s, m", [(s, m) for s in range(1, 9) for m in range(2, 17) if s * m <= 16])
+    def test_agrees_with_the_dense_overlap(self, s, m):
+        circuit = synth_init_state_circuit(s, m)
+        dense = abs(np.vdot(init_state_target(s, m), simulate_statevector(circuit, 0))) ** 2
+        assert abs(init_state_fidelity(circuit, s, m) - dense) <= 1e-15
+
+    def test_limit_checked_before_any_gate_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(circuits, "_apply_gates_sparse", refuse)
+        with pytest.raises(ResourceError, match="21 qubits exceeds the statevector limit of 20"):
+            init_state_fidelity(synth_init_state_circuit(7, 3), 7, 3)
+
+    def test_windows_off_the_support_count_as_zero(self):
+        # |0...0> holds no window: register 2 of window k is k + 1.
+        assert init_state_fidelity(Circuit(6), 3, 2) == 0.0
+
+    def test_support_off_the_windows_is_ignored(self):
+        # The uniform state on 2 qubits holds the windows (0, 1) and (1, 0) at 1/2 each,
+        # and (0, 0) and (1, 1) off them: overlap 2^(-1/2) * (1/2 + 1/2).
+        circuit = Circuit(2, (Gate("H", 0), Gate("H", 1)))
+        assert init_state_fidelity(circuit, 1, 2) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("s, m", [(2, 3), (0, 9), (1.5, 6), (True, 9)])
+    def test_rejects_a_shape_that_is_not_the_width(self, s, m):
+        with pytest.raises(DomainError, match="require s >= 1 and s\\*M = 9 qubits"):
+            init_state_fidelity(Circuit(9), s, m)
 
 
 class TestDenseSimulation:

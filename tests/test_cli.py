@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -230,15 +233,59 @@ class TestSynthCommand:
         assert code == 0
         assert "PASS" in stdout
 
-    # A float64 dot of the same state and target sums in another order: with
-    # OpenBLAS on an AVX-512 CPU it moved the last bits for s = 6 to 10 with M = 2.
+    # The fidelity of the complex128 statevector and target, its overlap summed
+    # with math.fsum: the correctly rounded sum of the products, in any order.
+    # A BLAS dot of the same vectors moved its last bits with the kernel and
+    # the thread count.
     @pytest.mark.parametrize("s, m", [(s, m) for s in range(1, 9) for m in range(2, 17) if s * m <= 16])
     def test_init_state_deviation_is_the_complex128_fidelity(self, capsys, s, m):
         code, stdout, _ = run_cli(capsys, "synth", "init-state", "--s", str(s), "--m", str(m), "--verify")
-        out = simulate_statevector(synth_init_state_circuit(s, m), 0)
-        fidelity = abs(np.vdot(init_state_target(s, m), out)) ** 2
+        out = simulate_statevector(synth_init_state_circuit(s, m), 0).real
+        target = init_state_target(s, m).real
+        windows = np.flatnonzero(target)
+        fidelity = math.fsum((target[windows] * out[windows]).tolist()) ** 2
         assert code == 0
-        assert stdout.splitlines()[2] == f"verify: PASS (max deviation {float(abs(1 - fidelity)):.3e})"
+        assert stdout.splitlines()[2] == f"verify: PASS (max deviation {abs(1 - fidelity):.3e})"
+
+    # The shapes whose printed deviation the one-thread BLAS dot put elsewhere.
+    @pytest.mark.parametrize("s, m, deviation", [
+        (6, 2, "8.882e-16"), (6, 3, "8.882e-16"), (7, 2, "8.882e-16"),
+        (8, 2, "1.332e-15"), (9, 2, "1.332e-15"), (10, 2, "1.554e-15"),
+    ])
+    def test_init_state_deviation_pins(self, capsys, s, m, deviation):
+        code, stdout, _ = run_cli(capsys, "synth", "init-state", "--s", str(s), "--m", str(m), "--verify")
+        assert code == 0
+        assert stdout.splitlines()[2] == f"verify: PASS (max deviation {deviation})"
+
+    def test_init_state_output_does_not_depend_on_blas(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        printed = {(4, 5): set(), (7, 2): set()}
+        for var, value in [("OPENBLAS_NUM_THREADS", "1"), ("OPENBLAS_NUM_THREADS", "2"),
+                           ("OPENBLAS_CORETYPE", "Nehalem")]:
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env[var] = value
+            for s, m in printed:
+                child = subprocess.run([sys.executable, "-m", "qpmatch.cli", "synth", "init-state",
+                                        "--s", str(s), "--m", str(m), "--verify"],
+                                       capture_output=True, env=env, check=True)
+                printed[s, m].add(child.stdout)
+        assert [len(outputs) for outputs in printed.values()] == [1, 1]
+
+    @pytest.mark.parametrize("fault, deviation", [("dropped gate", "5.000e-01"), ("flipped control", "1.000e+00")])
+    def test_init_state_with_a_broken_gate_fails_verification(self, capsys, monkeypatch, fault, deviation):
+        def broken(s, m):
+            gates = circuits.synth_init_state_circuit(s, m).gates
+            if fault == "dropped gate":
+                return circuits.Circuit(s * m, gates[1:])
+            i = next(i for i, gate in enumerate(gates) if gate.controls)
+            (q, positive), *controls = gates[i].controls
+            flipped = circuits.Gate(gates[i].kind, gates[i].target, ((q, not positive), *controls))
+            return circuits.Circuit(s * m, (*gates[:i], flipped, *gates[i + 1:]))
+
+        monkeypatch.setattr(cli, "synth_init_state_circuit", broken)
+        code, stdout, err = run_cli(capsys, "synth", "init-state", "--s", "3", "--m", "2", "--verify")
+        assert (code, err) == (2, "")
+        assert stdout.splitlines()[2] == f"verify: FAIL (max deviation {deviation})"
 
     def test_oracle_with_a_dropped_gate_fails_verification(self, capsys, monkeypatch):
         def dropped(f, n):
@@ -328,6 +375,7 @@ REFERENCE_NAMES = [
     (search, "init_state"), (search, "apply_query_phase"), (search, "apply_diffusion"),
     (search, "measure_first_register"), (search, "grover_step"), (search, "_evolve"), (search, "run_once"),
     (simulation, "embed_full"), (simulation, "full_apply_query"), (simulation, "full_apply_diffusion"),
+    (cli, "simulate_statevector"), (cli, "init_state_target"),
 ]
 
 SEARCH = ["search", "--text", "{text}", "--pattern", "abd", "--trials", "5", "--seed", "1"]
@@ -346,7 +394,7 @@ PRODUCT_COMMANDS = {
 
 
 class TestReferenceSimulatorsOffTheCommands:
-    """The structured and N^M simulators are test oracles: no command reaches them."""
+    """The structured and N^M simulators and the dense statevector are test oracles: no command reaches them."""
 
     @pytest.mark.parametrize("command", list(PRODUCT_COMMANDS))
     def test_command_runs_without_them(self, capsys, tmp_path, monkeypatch, command):

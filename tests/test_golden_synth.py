@@ -9,7 +9,7 @@ to an output byte fails here.
   the commands that name them emit.
 - ``init_s4_m5.statevector.sha256`` holds the sha256 of the bytes of
   ``simulate_statevector`` on the 20-qubit s=4/M=5 init-state circuit, the
-  largest state any command builds.
+  largest circuit ``synth init-state --verify`` checks.
 - ``kernels.json`` holds seeded random {H, X, MCX} circuits with mixed
   control polarities, in the text format, and the sha256 of the bytes of
   ``simulate_statevector(c, x)``, of ``simulate_unitary(c)`` and of
