@@ -1,19 +1,21 @@
 """Reversible-circuit synthesis and exact verification.
 
-Circuits are gate lists over {H, X, MCX-with-polarities}.  A :class:`Gate` is
-plain data; the :class:`Circuit` holding it checks it once, and every consumer
-of gates takes a ``Circuit``.  Qubit 0 is the most significant bit of a basis
-index, so the bit of qubit q in a width-w circuit is
-``(index >> (w - 1 - q)) & 1``.  A permutation is compiled by splitting it
-into transpositions via cycle decomposition and realizing each transposition
-as a ladder of multi-controlled X gates along a Gray-code path between the two
-transposed words.
+Circuits are gate sequences over {H, X, MCX-with-polarities}, held by
+:class:`Circuit` as flat arrays: a kind and a target per gate, and the
+controls in CSR form.  ``Circuit`` checks them once, vectorised, and every
+consumer of gates takes a ``Circuit``; a :class:`Gate` is plain data that it
+converts, and the text format, the dense kernel and the tests read.  Qubit 0
+is the most significant bit of a basis index, so the bit of qubit q in a
+width-w circuit is ``(index >> (w - 1 - q)) & 1``.  A permutation is compiled
+by splitting it into transpositions via cycle decomposition and realizing each
+transposition as a ladder of multi-controlled X gates along a Gray-code path
+between the two transposed words.
 
 A Boolean-function oracle is the lifted bijection (b, x) -> (b ^ f(x), x): one
 transposition (x, 2^n + x) per marked word x.  Each is at Hamming distance 1,
-so its ladder is a single MCX on the ancilla, and the oracle is built (and
-counted) straight from its marked words; the general permutation path gives
-the same gates and remains for arbitrary permutations.
+so its ladder is a single MCX on the ancilla, and the oracle's arrays are
+built (and counted) straight from its marked words; the general permutation
+path gives the same gates and remains for arbitrary permutations.
 
 Composition convention: a sequence of permutations or transpositions is read
 as an operator product, i.e. the LAST element of the sequence acts first on
@@ -30,74 +32,143 @@ from the sparse support and summed with ``math.fsum``.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter, getitem
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ResourceError, _is_count, _is_integer
+from .errors import DomainError, ResourceError, _is_count
 
 HADAMARD = "H"
 PAULI_X = "X"
 MCX = "MCX"
+#: The gate kinds by their uint8 code in :attr:`Circuit.kinds`.
+KINDS = (HADAMARD, PAULI_X, MCX)
+_H, _X, _MCX = range(len(KINDS))
 
 UNITARY_QUBIT_LIMIT = 12
 STATEVECTOR_QUBIT_LIMIT = 20
 
 #: Hard cap on the control entries, summed over gates, of a synthesized or MCX-expanded circuit;
-#: counted before any gate is built.  An entry takes at most about 100 bytes, so a circuit at the
-#: cap about 210 MB.
+#: counted before any gate is built.  A CSR entry stores 9 bytes (int64 qubit, bool polarity), and
+#: building and checking an oracle peaks at about 37 bytes per entry (its sort keys and their
+#: temporaries), so a circuit at the cap holds about 19 MB and peaks at about 77 MB.
 CONTROL_ENTRIES_LIMIT = 2**21
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _ALL = slice(None)
-_POLARITIES = (bool, np.bool_)
+_DTYPES = (np.uint8, np.int64, np.int64, np.bool_, np.int64)
 
 
 class Gate(NamedTuple):
-    """One gate, plain data that :class:`Circuit` checks; ``controls`` holds (qubit, positive) pairs."""
+    """One gate, plain data that :class:`Circuit` converts and checks; ``controls`` holds (qubit, positive) pairs."""
 
     kind: str
     target: int
     controls: tuple = ()
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Gates over ``n_qubits`` qubits, first gate first; the one place a gate is checked.
+def _gate_arrays(gates) -> tuple:
+    """The arrays of :class:`Circuit` for a sequence of :class:`Gate`.
 
-    ``n_qubits`` must be an integer >= 0.  Each gate must be H, X or an MCX (only an MCX has
-    controls), name its qubits by Python or numpy integers (not bools) and its polarities by bools,
-    repeat no qubit among its controls and target, and address only ``[0, n_qubits)``.
+    Types are checked before anything is converted: ``np.asarray([0, True])`` is an int64 array,
+    so a bool qubit would pass as qubit 1, and an unknown kind has no code.
+    """
+    kinds, targets, controls = zip(*gates) if gates else ((), (), ())
+    unknown = [kind for kind in kinds if kind not in KINDS]
+    if unknown:
+        raise DomainError(f"unknown gate kind {unknown[0]!r}")
+    pairs = list(chain.from_iterable(controls))
+    try:
+        qubits, polarities = zip(*pairs, strict=True) if pairs else ((), ())
+    except ValueError:
+        raise DomainError("controls must be (integer qubit, bool) pairs") from None
+    integers = all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, targets + qubits)))
+    if not (integers and set(map(type, polarities)) <= {bool, np.bool_}):
+        raise DomainError("a gate must name each qubit by an integer qubit number and each polarity by a bool")
+    try:
+        return (np.array([KINDS.index(kind) for kind in kinds], dtype=np.uint8), np.array(targets, dtype=np.int64),
+                np.array(qubits, dtype=np.int64), np.array(polarities, dtype=bool),
+                np.cumsum([0, *map(len, controls)], dtype=np.int64))
+    except OverflowError:  # a qubit beyond int64
+        raise DomainError("gate addresses qubit outside the circuit") from None
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class Circuit:
+    """Gates over ``n_qubits`` qubits, first gate first, as flat read-only arrays; the one place a gate is checked.
+
+    Gate i has kind ``KINDS[kinds[i]]`` (uint8) and target ``targets[i]`` (int64); its controls are
+    ``qubits[offsets[i]:offsets[i + 1]]`` (int64) with ``polarities`` (bool), offsets int64.
+    ``Circuit(n, gates)`` converts a :class:`Gate` sequence, whose qubits must be Python or numpy
+    integers (not bools) and polarities bools; ``Circuit(n, arrays=...)`` takes the five arrays.
+    One check runs on the arrays, vectorised: ``n_qubits`` is an integer >= 0, each kind is H, X
+    or MCX, only an MCX has controls, no gate repeats a qubit, and every qubit is in ``[0, n_qubits)``.
     """
 
     n_qubits: int
-    gates: tuple = ()
+    kinds: np.ndarray
+    targets: np.ndarray
+    qubits: np.ndarray
+    polarities: np.ndarray
+    offsets: np.ndarray
+
+    def __init__(self, n_qubits, gates=(), *, arrays=None):
+        if not _is_count(n_qubits):
+            raise DomainError(f"qubit count must be an integer >= 0, got {n_qubits!r}")
+        arrays = _gate_arrays(tuple(gates)) if arrays is None else arrays
+        for name, value in zip(("n_qubits", "kinds", "targets", "qubits", "polarities", "offsets"),
+                               (int(n_qubits), *arrays)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self):
-        if not _is_count(self.n_qubits):
-            raise DomainError(f"qubit count must be an integer >= 0, got {self.n_qubits!r}")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if g.kind not in (HADAMARD, PAULI_X, MCX):
-                raise DomainError(f"unknown gate kind {g.kind!r}")
-            if g.controls and g.kind != MCX:
-                raise DomainError(f"{g.kind} takes no controls")
-            # type() first: _is_integer on each of an oracle's 12k controls costs about 1 ms.
-            if not (type(g.target) is int or _is_integer(g.target)):
-                raise DomainError(f"gate target must be an integer qubit, got {g.target!r}")
-            qubits = {g.target}
-            for q, positive in g.controls:
-                if not (type(q) is int or _is_integer(q)) or type(positive) not in _POLARITIES:
-                    raise DomainError(f"control must be an (integer qubit, bool) pair, got {(q, positive)!r}")
-                qubits.add(q)
-            if len(qubits) <= len(g.controls):
-                raise DomainError("control qubits must be distinct from each other and the target")
-            if min(qubits) < 0 or max(qubits) >= self.n_qubits:
+        kinds, targets, qubits, polarities, offsets = arrays = self.arrays
+        if not (all(type(a) is np.ndarray and a.ndim == 1 and a.dtype == d for a, d in zip(arrays, _DTYPES))
+                and len(targets) == len(kinds) == len(offsets) - 1 and len(polarities) == len(qubits)
+                and offsets[0] == 0 and offsets[-1] == len(qubits)) or (offsets[1:] < offsets[:-1]).any():
+            raise DomainError("circuit arrays must be kinds, targets, qubits, polarities and offsets in CSR form")
+        n, counts = self.n_qubits, offsets[1:] - offsets[:-1]
+        if (kinds >= len(KINDS)).any():
+            raise DomainError("unknown gate kind")
+        if counts[kinds != _MCX].any():
+            raise DomainError(f"{KINDS[kinds[(counts > 0) & (kinds != _MCX)][0]]} takes no controls")
+        if len(kinds):
+            every = np.concatenate((targets, qubits))
+            if every.min() < 0 or every.max() >= n:
                 raise DomainError("gate addresses qubit outside the circuit")
+            if len(kinds) * n > 2**63:  # the largest key is len(kinds) · n - 1
+                raise ResourceError(f"{len(kinds)} gates on {n} qubits overflow the int64 keys of the check")
+            gate = np.arange(len(kinds)) * n
+            controls = np.repeat(gate, counts)
+            controls += qubits
+            keys = np.concatenate((gate + targets, controls))  # gate·n + qubit, one per qubit of each gate
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
+                raise DomainError("control qubits must be distinct from each other and the target")
+        for a in arrays:
+            a.setflags(write=False)
+
+    @property
+    def arrays(self) -> tuple:
+        """(kinds, targets, qubits, polarities, offsets)."""
+        return self.kinds, self.targets, self.qubits, self.polarities, self.offsets
+
+    @property
+    def gates(self) -> tuple:
+        """The gates as :class:`Gate` tuples of Python ints and bools, built anew on each read."""
+        controls = list(zip(self.qubits.tolist(), self.polarities.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(Gate(KINDS[k], t, tuple(controls[lo:hi]))
+                     for k, t, lo, hi in zip(self.kinds.tolist(), self.targets.tolist(), bounds, bounds[1:]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return self.n_qubits == other.n_qubits and all(map(np.array_equal, self.arrays, other.arrays))
 
 
 @dataclass(frozen=True)
@@ -274,19 +345,25 @@ def _ladder_entries(transpositions, width) -> int:
     return (2 * sum(d) - len(d)) * (width - 1)
 
 
-def _step_gate(word_a: int, word_b: int, width: int) -> Gate:
-    """MCX transposing two words at Hamming distance 1, fixing everything else."""
-    target = width - (word_a ^ word_b).bit_length()
-    controls = tuple((q, bool((word_a >> (width - 1 - q)) & 1)) for q in range(width) if q != target)
-    return Gate(MCX, target, controls) if controls else Gate(PAULI_X, target)
+def _ladders(transpositions, width: int) -> Circuit:
+    """One circuit of the ladders of ``transpositions``, laid down in order.
 
-
-def _transposition_gates(t: Transposition, width: int) -> list:
-    """The gates of :func:`synth_transposition`: a forward sweep and its mirror."""
-    path = gray_code(t.a, t.b, width)
-    steps = [_step_gate(u, v, width) for u, v in zip(path, path[1:])]
-    # The backward sweep undoes steps k-1 ... 1; gates are frozen, so reuse them.
-    return steps + steps[-2::-1]
+    A ladder is a forward sweep along the Gray-code path and its mirror, which undoes steps
+    k - 1 ... 1.  Step j flips the one bit in which words j and j + 1 differ, controlled by every
+    other bit of word j at its value: an MCX, or an X at width 1.  Words are read as binary text,
+    so a width beyond 63 bits needs no special case.
+    """
+    steps = []
+    for t in transpositions:
+        path = gray_code(t.a, t.b, width)
+        ladder = [(width - (u ^ v).bit_length(), f"{u:0{width}b}") for u, v in zip(path, path[1:])]
+        steps += ladder + ladder[-2::-1]
+    targets = np.array([target for target, _ in steps], dtype=np.int64)
+    words = np.frombuffer("".join(word for _, word in steps).encode(), dtype=np.uint8).reshape(len(steps), width)
+    controlled = np.arange(width) != targets[:, None]
+    return Circuit(width, arrays=(np.full(len(steps), _MCX if width > 1 else _X, dtype=np.uint8), targets,
+                                  np.nonzero(controlled)[1], words[controlled] == ord("1"),
+                                  np.arange(len(steps) + 1) * (width - 1)))
 
 
 def synth_transposition(t: Transposition, width: int) -> Circuit:
@@ -298,7 +375,7 @@ def synth_transposition(t: Transposition, width: int) -> Circuit:
     transposition.
     """
     _check_control_entries(_ladder_entries([t], width), "transposition")
-    return Circuit(width, _transposition_gates(t, width))
+    return _ladders([t], width)
 
 
 def synth_permutation(images, width: int) -> Circuit:
@@ -309,10 +386,7 @@ def synth_permutation(images, width: int) -> Circuit:
     """
     transpositions = permutation_to_transpositions(images)
     _check_control_entries(_ladder_entries(transpositions, width), "permutation")
-    gates = []
-    for t in reversed(transpositions):
-        gates += _transposition_gates(t, width)
-    return Circuit(width, gates)
+    return _ladders(reversed(transpositions), width)
 
 
 def synth_boolean_oracle(f, n: int) -> Circuit:
@@ -325,10 +399,10 @@ def synth_boolean_oracle(f, n: int) -> Circuit:
     """
     marked = _marked_words(f, n)[::-1]
     _check_control_entries(len(marked) * n, "oracle")
-    bits = ((marked[:, None] >> np.arange(n - 1, -1, -1)) & 1).tolist()
-    # controls[q - 1][bit] is the control (q, bit == 1), shared by every gate.
-    controls = [((q, False), (q, True)) for q in range(1, n + 1)]
-    return Circuit(n + 1, [Gate(MCX, 0, tuple(map(getitem, controls, row))) for row in bits])
+    polarities = (marked[:, None] & (1 << np.arange(n - 1, -1, -1))) != 0  # row g: qubits 1 ... n of gate g
+    return Circuit(n + 1, arrays=(np.full(len(marked), _MCX, dtype=np.uint8), np.zeros(len(marked), dtype=np.int64),
+                                  np.tile(np.arange(1, n + 1), len(marked)), polarities.ravel(),
+                                  np.arange(len(marked) + 1) * n))
 
 
 def oracle_gate_count(f, n: int) -> GateCountReport:
@@ -348,21 +422,10 @@ def synth_phase_oracle(f, n: int) -> Circuit:
     is undone.  Preparation gates are part of the emitted circuit.
     """
     oracle = synth_boolean_oracle(f, n)
-    prep = (Gate(PAULI_X, 0), Gate(HADAMARD, 0))
-    unprep = (Gate(HADAMARD, 0), Gate(PAULI_X, 0))
-    return Circuit(n + 1, prep + oracle.gates + unprep)
-
-
-def _increment_gates(offset: int, s: int):
-    """Increment an s-qubit register mod 2^s: descending multi-controlled cascade."""
-    gates = []
-    for u in range(s):  # u = 0 is the register's most significant qubit
-        controls = tuple((offset + v, True) for v in range(u + 1, s))
-        if controls:
-            gates.append(Gate(MCX, offset + u, controls))
-        else:
-            gates.append(Gate(PAULI_X, offset + u))
-    return gates
+    prep, end = np.array([_X, _H], dtype=np.uint8), oracle.offsets[-1:]  # prep and unprep gates have no controls
+    return Circuit(n + 1, arrays=(np.concatenate((prep, oracle.kinds, prep[::-1])),
+                                  np.concatenate(([0, 0], oracle.targets, [0, 0])), oracle.qubits, oracle.polarities,
+                                  np.concatenate(([0, 0], oracle.offsets, end, end))))
 
 
 def synth_init_state_circuit(s: int, m: int) -> Circuit:
@@ -370,30 +433,37 @@ def synth_init_state_circuit(s: int, m: int) -> Circuit:
 
     Register t (1-based) occupies qubits [(t-1)s, ts).  Hadamards put
     register 1 into uniform superposition; each later register is fanned out
-    from its predecessor with CNOTs and then incremented mod 2^s.
+    from its predecessor with CNOTs and then incremented mod 2^s by a
+    descending cascade: its qubit u (0 the most significant) flips under
+    positive controls on its qubits u + 1 ... s - 1, an X for u = s - 1.
     """
     if not (_is_count(s) and _is_count(m)) or s < 1 or m < 2:
         raise DomainError("require s >= 1 and M >= 2")
     # Per later register: s CNOTs, then an increment of s(s - 1)/2 controls.
     _check_control_entries((m - 1) * (s + s * (s - 1) // 2), "init-state circuit")
-    gates = [Gate(HADAMARD, q) for q in range(s)]
-    for t in range(2, m + 1):
-        src = (t - 2) * s
-        dst = (t - 1) * s
-        gates.extend(Gate(MCX, dst + u, ((src + u, True),)) for u in range(s))
-        gates.extend(_increment_gates(dst, s))
-    return Circuit(s * m, tuple(gates))
+    # One later register's gates, qubits relative to its first qubit; every register repeats them.
+    controls = [*range(-s, 0), *(v for u in range(s) for v in range(u + 1, s))]
+    firsts = np.arange(s, s * m, s)[:, None]
+    qubits = (np.array(controls) + firsts).ravel()
+    counts = [0] * s + ([1] * s + [*range(s - 1, -1, -1)]) * (m - 1)
+    return Circuit(s * m, arrays=(np.array([_H] * s + ([_MCX] * (2 * s - 1) + [_X]) * (m - 1), dtype=np.uint8),
+                                  np.concatenate((np.arange(s), (np.tile(np.arange(s), 2) + firsts).ravel())),
+                                  qubits, np.ones(len(qubits), dtype=bool), np.cumsum([0, *counts], dtype=np.int64)))
+
+
+def _windows(s: int, m: int) -> np.ndarray:
+    """The int64 basis indices of the 2^s windows (k, k + 1, ..., k + m - 1) mod 2^s, by k."""
+    k = np.arange(2**s, dtype=np.int64)
+    windows = np.zeros(2**s, dtype=np.int64)
+    for t in range(m):
+        windows = (windows << s) | ((k + t) & (2**s - 1))
+    return windows
 
 
 def init_state_target(s: int, m: int) -> np.ndarray:
     """The target superposition of :func:`synth_init_state_circuit`, built directly."""
-    dim = 2 ** (s * m)
-    vec = np.zeros(dim, dtype=np.complex128)
-    for k in range(2**s):
-        idx = 0
-        for t in range(m):
-            idx = (idx << s) | ((k + t) % 2**s)
-        vec[idx] = 2 ** (-s / 2)
+    vec = np.zeros(2 ** (s * m), dtype=np.complex128)
+    vec[_windows(s, m)] = 2 ** (-s / 2)
     return vec
 
 
@@ -431,8 +501,21 @@ def _apply_gates(state: np.ndarray, gates, n: int) -> None:
             np.copyto(high, tmp)
 
 
-def _apply_gates_sparse(gates, n: int, basis_input: int) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``gates`` from ``basis_input`` on the support: the positions that may be nonzero.
+def _control_masks(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """Per gate, the int64 mask of its control qubits' bits and of those among them it needs set.
+
+    A gate's control qubits are distinct, so the OR of their bits is their sum: a bincount over
+    the CSR entries weighted by the bits, exact in float64 below 2^53.
+    """
+    n, offsets = circuit.n_qubits, circuit.offsets
+    gate = np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
+    bits = 1 << (n - 1 - circuit.qubits)
+    return (np.bincount(gate, bits, len(offsets) - 1).astype(np.int64),
+            np.bincount(gate, bits * circuit.polarities, len(offsets) - 1).astype(np.int64))
+
+
+def _apply_gates_sparse(circuit: Circuit, basis_input: int) -> tuple[np.ndarray, np.ndarray]:
+    """Run the gates from ``basis_input`` on the support: the positions that may be nonzero.
 
     Returns the distinct int64 positions and their float64 values; every
     amplitude off the positions is +0.  An X or MCX flips the target bit of
@@ -443,15 +526,14 @@ def _apply_gates_sparse(gates, n: int, basis_input: int) -> tuple[np.ndarray, np
     partner rounds as the full sweep does, and the full sweep maps every pair
     of +0 it holds off the support to +0.
     """
+    n = circuit.n_qubits
     pos = np.array([basis_input], dtype=np.int64)
     amp = np.ones(1)
-    for gate in gates:
-        tbit = 1 << (n - 1 - gate.target)
-        if gate.kind != HADAMARD:
-            fires = np.ones(len(pos), dtype=bool)
-            for q, positive in gate.controls:
-                fires &= ((pos >> (n - 1 - q)) & 1) == positive
-            pos[fires] ^= tbit
+    care, value = _control_masks(circuit)
+    for kind, target, mask, fire in zip(*(a.tolist() for a in (circuit.kinds, circuit.targets, care, value))):
+        tbit = 1 << (n - 1 - target)
+        if kind != _H:
+            pos[(pos & mask) == fire] ^= tbit
             continue
         pairs, pair_of = np.unique(pos & ~tbit, return_inverse=True)
         high = (pos & tbit) != 0
@@ -481,7 +563,7 @@ def simulate_statevector(circuit: Circuit, basis_input: int = 0) -> np.ndarray:
         raise ResourceError(f"{n} qubits exceeds the statevector limit of {STATEVECTOR_QUBIT_LIMIT}")
     if not (_is_count(basis_input) and basis_input < 2**n):
         raise DomainError(f"basis input out of range: need an integer in [0, {2**n}), got {basis_input!r}")
-    pos, amp = _apply_gates_sparse(circuit.gates, n, basis_input)
+    pos, amp = _apply_gates_sparse(circuit, basis_input)
     state = np.zeros(2**n, dtype=np.complex128)
     state[pos] = amp
     return state
@@ -502,14 +584,10 @@ def init_state_fidelity(circuit: Circuit, s: int, m: int) -> float:
         raise ResourceError(f"{n} qubits exceeds the statevector limit of {STATEVECTOR_QUBIT_LIMIT}")
     if not (_is_count(s) and _is_count(m)) or s < 1 or s * m != n:
         raise DomainError(f"require s >= 1 and s*M = {n} qubits, got s={s!r}, M={m!r}")
-    pos, amp = _apply_gates_sparse(circuit.gates, n, 0)
+    pos, amp = _apply_gates_sparse(circuit, 0)
     support = dict(zip(pos.tolist(), amp.tolist()))
-    k = np.arange(2**s, dtype=np.int64)
-    windows = np.zeros(2**s, dtype=np.int64)
-    for t in range(m):
-        windows = (windows << s) | ((k + t) & (2**s - 1))
     weight = 2 ** (-s / 2)
-    return abs(math.fsum(weight * support.get(w, 0.0) for w in windows.tolist())) ** 2
+    return abs(math.fsum(weight * support.get(w, 0.0) for w in _windows(s, m).tolist())) ** 2
 
 
 def simulate_unitary(circuit: Circuit) -> np.ndarray:
@@ -545,26 +623,26 @@ def permutation_action(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     if n > STATEVECTOR_QUBIT_LIMIT:
         raise ResourceError(f"{n} qubits exceeds the permutation limit of {STATEVECTOR_QUBIT_LIMIT}")
-    if any(gate.kind == HADAMARD for gate in circuit.gates):
+    if _H in circuit.kinds:
         raise DomainError("circuit is not a basis permutation: contains Hadamard")
-    bit = [1 << (n - 1 - q) for q in range(n)]
+    care, value = _control_masks(circuit)
+    targets = circuit.targets
+    tbit = 1 << (n - 1 - targets)
+    free = (1 << n) - 1 - care - tbit  # the uncontrolled qubits of each gate
+    bounds = [0, *(np.flatnonzero(targets[1:] != targets[:-1]) + 1).tolist(), len(targets)] if len(targets) else []
     images = np.arange(2**n, dtype=np.int64)
-    for target, run in groupby(reversed(circuit.gates), key=attrgetter("target")):
-        run = tuple(run)
-        values_by_free = {}  # the control values of the run's gates, keyed by their uncontrolled qubits
-        for gate in run:
-            care, value = bit[target], 0
-            for q, positive in gate.controls:
-                care |= bit[q]
-                if positive:
-                    value |= bit[q]
-            values_by_free.setdefault((1 << n) - 1 - care, []).append(value)
-        words = np.concatenate([(np.array(values)[:, None] | _fillings(free)).ravel()
-                                for free, values in values_by_free.items()])
-        if len(run) > 1:  # one gate fires on a word at most once
+    for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
+        if hi - lo == 1 and not free[lo]:  # one fully controlled gate swaps one pair of labels
+            word, partner = int(value[lo]), int(value[lo] | tbit[lo])
+            images[word], images[partner] = images[partner], images[word]
+            continue
+        frees, group = np.unique(free[lo:hi], return_inverse=True)  # the gates by their uncontrolled qubits
+        words = np.concatenate([(value[lo:hi][group == i, None] | _fillings(f)).ravel()
+                                for i, f in enumerate(frees.tolist())])
+        if hi - lo > 1:  # one gate fires on a word at most once
             words, hits = np.unique(words, return_counts=True)
             words = words[hits % 2 == 1]
-        partners = words | bit[target]
+        partners = words | tbit[lo]
         images[words], images[partners] = images[partners], images[words]
     return images
 
@@ -572,18 +650,17 @@ def permutation_action(circuit: Circuit) -> np.ndarray:
 # --- cost accounting and MCX expansion ---
 
 
-def _basic_cost(controls: int) -> int:
-    """Basic units of one gate with ``controls`` controls, as :class:`GateCountReport` charges them."""
-    return 1 if controls <= 1 else 2 * controls - 1
+def _basic_cost(controls):
+    """Basic units of a gate with ``controls`` controls, as :class:`GateCountReport` charges them: |2c - 1|.
+
+    Elementwise on an array of control counts.
+    """
+    return abs(2 * controls - 1)
 
 
 def gate_count(circuit: Circuit) -> GateCountReport:
-    counts = {HADAMARD: 0, PAULI_X: 0, MCX: 0}
-    total = 0
-    for gate in circuit.gates:
-        counts[gate.kind] += 1
-        total += _basic_cost(len(gate.controls))
-    return GateCountReport(counts, total)
+    counts, offsets = np.bincount(circuit.kinds, minlength=len(KINDS)).tolist(), circuit.offsets
+    return GateCountReport(dict(zip(KINDS, counts)), int(_basic_cost(offsets[1:] - offsets[:-1]).sum()))
 
 
 def expand_mcx(circuit: Circuit) -> Circuit:
@@ -595,10 +672,10 @@ def expand_mcx(circuit: Circuit) -> Circuit:
     ladder is uncomputed.  Work qubits are appended after the data qubits
     and are returned to |0>.
     """
-    sizes = [len(g.controls) for g in circuit.gates]
+    sizes = np.diff(circuit.offsets)
     # An MCX of c >= 3 controls becomes 2(c - 2) + 1 Toffolis; the X flips take no controls.
-    _check_control_entries(sum(c if c <= 2 else 4 * c - 6 for c in sizes), "MCX expansion")
-    extra = max(max(sizes, default=0) - 2, 0)
+    _check_control_entries(int(np.where(sizes <= 2, sizes, 4 * sizes - 6).sum()), "MCX expansion")
+    extra = max(int(sizes.max(initial=0)) - 2, 0)
     n = circuit.n_qubits
     gates = []
     for gate in circuit.gates:

@@ -227,7 +227,7 @@ def cmd_synth(args) -> int:
         label = f"init-state s={args.s} M={args.m}"
 
     report = gate_count(circuit)
-    print(f"synthesized {label}: {len(circuit.gates)} gates")
+    print(f"synthesized {label}: {len(circuit.kinds)} gates")
     print(f"gate counts: {report.counts}, basic-gate estimate {report.basic_gate_total}")
     if args.verify:
         print(f"verify: {'PASS' if ok else 'FAIL'} (max deviation {dev:.3e})")

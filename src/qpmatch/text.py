@@ -15,9 +15,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, _is_count, _is_integer
+from .errors import DomainError, ResourceError, _is_count, _is_integer
 
 INDEX_FORMAT_VERSION = 1
+#: Most positions an index may cover, checked by its constructor: ``indicator_for`` unpacks n bytes,
+#: so an index read from a document cannot ask for more than 256 MiB.
+INDEX_LENGTH_LIMIT = 2**28
 
 
 def _frozen_codes(values) -> np.ndarray:
@@ -149,6 +152,8 @@ class OracleIndex:
     def __post_init__(self):
         if not (_is_count(self.n) and self.n >= 1):
             raise DomainError(f"index length n must be an integer >= 1, got {self.n!r}")
+        if self.n > INDEX_LENGTH_LIMIT:
+            raise ResourceError(f"index length {self.n} exceeds the limit of {INDEX_LENGTH_LIMIT} positions")
         nbytes, padding = (self.n + 7) // 8, -self.n % 8
         entries = {}
         for symbol, packed in self.indicators.items():

@@ -27,6 +27,7 @@ from qpmatch import (
 )
 from qpmatch import circuits
 from qpmatch.circuits import apply_transpositions
+from qpmatch.cli import main
 
 
 def transposition_matrix(a, b, dim):
@@ -420,7 +421,7 @@ class TestBasisTracking:
 
     def test_cnot_fan_out_keeps_the_support_size(self):
         gates = (Gate("H", 0), Gate("MCX", 1, ((0, True),)), Gate("MCX", 2, ((0, True),)))
-        pos, amp = circuits._apply_gates_sparse(gates, 3, 0)
+        pos, amp = circuits._apply_gates_sparse(Circuit(3, gates), 0)
         assert sorted(pos.tolist()) == [0b000, 0b111]
         half = 1 / np.sqrt(2)
         circuit = Circuit(3, gates)
@@ -429,9 +430,9 @@ class TestBasisTracking:
     def test_control_of_wrong_polarity_on_a_sparse_support(self):
         # From |010>, H q0 gives {|010>, |110>}: -q1 fires on neither, -q0 only on |010>.
         gates = (Gate("H", 0), Gate("MCX", 2, ((1, False),)), Gate("MCX", 2, ((0, False),)))
-        pos, amp = circuits._apply_gates_sparse(gates[:2], 3, 0b010)
+        pos, amp = circuits._apply_gates_sparse(Circuit(3, gates[:2]), 0b010)
         assert sorted(pos.tolist()) == [0b010, 0b110]
-        pos, amp = circuits._apply_gates_sparse(gates, 3, 0b010)
+        pos, amp = circuits._apply_gates_sparse(Circuit(3, gates), 0b010)
         assert sorted(pos.tolist()) == [0b011, 0b110]
         half = 1 / np.sqrt(2)
         circuit = Circuit(3, gates)
@@ -441,7 +442,7 @@ class TestBasisTracking:
         # After H q0 and CNOT q0 -> q1 the support is {|00>, |11>}: an H on q1 finds each
         # position's partner missing, and a second H on q0 then pairs every position.
         gates = (Gate("H", 0), Gate("MCX", 1, ((0, True),)), Gate("H", 1), Gate("H", 0))
-        pos, amp = circuits._apply_gates_sparse(gates[:3], 2, 0)
+        pos, amp = circuits._apply_gates_sparse(Circuit(2, gates[:3]), 0)
         assert len(pos) == 4
         circuit = Circuit(2, gates)
         full = full_sweep_from_basis_state(circuit, 0)
@@ -481,7 +482,7 @@ class TestSparseSupport:
         rest = self.random_circuit(rng, n, 2 * n, hadamards=0.3)
         circuit = Circuit(n, tuple(Gate("H", q) for q in range(n)) + rest.gates)
         basis_input = int(rng.integers(2**n))
-        assert len(circuits._apply_gates_sparse(circuit.gates[:n], n, basis_input)[0]) == 2**n
+        assert len(circuits._apply_gates_sparse(Circuit(n, circuit.gates[:n]), basis_input)[0]) == 2**n
         expected = full_sweep_from_basis_state(circuit, basis_input).tobytes()
         assert simulate_statevector(circuit, basis_input).tobytes() == expected
 
@@ -712,6 +713,70 @@ class TestTextFormat:
         circuit = Circuit(3, (Gate("MCX", 0), Gate("MCX", 2, ((0, True), (1, False))), Gate("H", 1)))
         assert emit_circuit(circuit).splitlines()[1] == "MCX -> q0"
         assert parse_circuit(" QUBITS \t3\n\nMCX  -> q0\nMCX\t+q0   -q1 ->  q2 \nH\tq1\n") == circuit
+
+
+class TestArrayForm:
+    """A circuit is its five arrays; a gate sequence converts into them and one check runs on both."""
+
+    def test_gates_convert_into_csr_arrays(self):
+        gates = (Gate("H", 0), Gate("MCX", 2, ((0, True), (1, False))), Gate("X", 1), Gate("MCX", 0))
+        circuit = Circuit(3, gates)
+        expected = ([0, 2, 1, 2], [0, 2, 1, 0], [0, 1], [True, False], [0, 0, 2, 2, 2])
+        for array, dtype, values in zip(circuit.arrays, (np.uint8, np.int64, np.int64, np.bool_, np.int64), expected):
+            assert array.dtype == dtype and array.tolist() == values and not array.flags.writeable
+        assert circuit.gates == gates
+        assert Circuit(3, arrays=tuple(a.copy() for a in circuit.arrays)) == circuit
+
+    @pytest.mark.parametrize("change", [
+        {0: np.array([2], dtype=np.int64)},  # kinds of the wrong dtype
+        {1: np.array([1], dtype=np.int32)},  # targets of the wrong dtype
+        {2: [0]},  # qubits that are not an array
+        {3: np.array([1], dtype=np.uint8)},  # polarities that are not bools
+        {4: np.array([0, 2], dtype=np.int64)},  # offsets past the controls
+        {1: np.array([1, 1], dtype=np.int64)},  # one target too many
+        {3: np.array([], dtype=bool)},  # a qubit without its polarity
+        {4: np.array([[0, 1]], dtype=np.int64)},  # offsets of two dimensions
+    ])
+    def test_arrays_are_checked_by_dtype_and_shape(self, change):
+        arrays = [np.array([2], dtype=np.uint8), np.array([1], dtype=np.int64), np.array([0], dtype=np.int64),
+                  np.array([True]), np.array([0, 1], dtype=np.int64)]
+        assert Circuit(2, arrays=tuple(arrays)).gates == (Gate("MCX", 1, ((0, True),)),)
+        for i, value in change.items():
+            arrays[i] = value
+        with pytest.raises(DomainError, match="CSR form"):
+            Circuit(2, arrays=tuple(arrays))
+
+    def test_decreasing_offsets_are_refused(self):
+        arrays = (np.array([2, 2], dtype=np.uint8), np.array([1, 1], dtype=np.int64), np.array([0], dtype=np.int64),
+                  np.array([True]), np.array([0, 2, 1], dtype=np.int64))
+        with pytest.raises(DomainError, match="CSR form"):
+            Circuit(3, arrays=arrays)
+
+    def test_an_unknown_kind_code_is_refused(self):
+        arrays = (np.array([3], dtype=np.uint8), np.array([0], dtype=np.int64), np.array([], dtype=np.int64),
+                  np.array([], dtype=bool), np.array([0, 0], dtype=np.int64))
+        with pytest.raises(DomainError, match="unknown gate kind"):
+            Circuit(1, arrays=arrays)
+
+    def test_a_qubit_beyond_int64_is_outside_the_circuit(self):
+        with pytest.raises(DomainError, match="outside the circuit"):
+            Circuit(2, (Gate("X", 2**64),))
+
+    def test_keys_that_would_overflow_are_refused(self):
+        # 4 · 2^62 wraps to 0 in int64, so gates 0 and 4 on qubit 0 would read as one gate repeating it.
+        assert Circuit(2**62, [Gate("X", 0)] * 2).n_qubits == 2**62
+        with pytest.raises(ResourceError, match="overflow the int64 keys"):
+            Circuit(2**62, [Gate("X", 0)] * 5)
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "oracle", "--text", "abcab" * 200, "--symbol", "a", "--verify"],
+        ["synth", "transposition", "--width", "8", "--a", "3", "--b", "200", "--verify"],
+        ["synth", "init-state", "--s", "3", "--m", "4", "--verify"],
+    ])
+    def test_synth_commands_build_no_gate(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(circuits, "Gate", _no_gate)
+        assert main(argv) == 0
+        assert "verify: PASS" in capsys.readouterr().out
 
 
 class TestSynthPermutation:

@@ -14,7 +14,10 @@ Regenerating the pins is only right when an output change is intended::
 
 import contextlib
 import io
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +86,52 @@ def test_search_output_matches_golden(name, fmt, capsys, monkeypatch, tmp_path):
     stdout = _run(capsys, name, fmt, out)
     assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
     assert stdout == (GOLDEN / f"{name}.stdout").read_text()
+
+
+# Runs (out path, argv) pairs with ``main``; each command's stdout goes to ``<out>.stdout``.
+_CHILD = """
+import contextlib, json, sys
+from qpmatch.cli import main
+for out, argv in json.loads(sys.argv[1]):
+    with open(out + ".stdout", "w") as fh, contextlib.redirect_stdout(fh):
+        code = main(argv)
+    if code:
+        sys.exit(code)
+"""
+
+
+def _wide_simd_features() -> list:
+    """The AVX512 and X86_V3/V4 features that numpy dispatches to on this CPU, read from its feature table."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f) and f.startswith(("AVX512", "X86_V3", "X86_V4"))]
+
+
+def test_search_bytes_do_not_depend_on_the_host(tmp_path):
+    """Two searches write the pinned bytes by default, without numpy's wide SIMD kernels, and on an old BLAS core.
+
+    Each setting is made on its own child process only; the three run side by side.
+    """
+    src = str(Path(main.__code__.co_filename).resolve().parents[1])
+    settings = {"default": {}, "no-wide-simd": {"NPY_DISABLE_CPU_FEATURES": ",".join(_wide_simd_features())},
+                "nehalem-blas": {"OPENBLAS_CORETYPE": "Nehalem"}}
+    runs = [(name, fmt) for name in ("planted256", "planted212") for fmt in ("json", "csv")]
+    children = []
+    for setting, extra in settings.items():
+        (tmp_path / setting).mkdir()
+        calls = [(str(tmp_path / setting / f"{name}.{fmt}"), ["search", *CASES[name], "--format", fmt, "--out",
+                                                              str(tmp_path / setting / f"{name}.{fmt}")])
+                 for name, fmt in runs]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+        children.append(subprocess.Popen([sys.executable, "-c", _CHILD, json.dumps(calls)], cwd=GOLDEN, env=env))
+    assert [child.wait(timeout=120) for child in children] == [0] * len(settings)
+    for setting in settings:
+        for name, fmt in runs:
+            out = tmp_path / setting / f"{name}.{fmt}"
+            assert out.read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes(), (setting, name, fmt)
+            assert Path(f"{out}.stdout").read_text() == (GOLDEN / f"{name}.stdout").read_text(), (setting, name)
 
 
 def _regenerate() -> None:

@@ -15,6 +15,7 @@ from qpmatch import (
     Circuit,
     DomainError,
     Gate,
+    GateCountReport,
     OracleIndex,
     Pattern,
     Text,
@@ -56,6 +57,72 @@ def gates(draw, n):
 circuits = st.integers(1, 6).flatmap(
     lambda n: st.lists(gates(n), max_size=12).map(lambda gs: Circuit(n, tuple(gs)))
 )
+
+
+@st.composite
+def odd_gates(draw, n):
+    """A valid gate with at most one rule of Circuit's check broken: an unknown kind, controls on H or X,
+    a repeated, negative or out-of-range qubit, True or 1.0 as a qubit, or 2 or 1 as a polarity."""
+    target = draw(st.integers(0, n - 1))
+    others = [q for q in range(n) if q != target]
+    chosen = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
+    controls = [[q, draw(st.booleans())] for q in chosen]
+    kind = "MCX" if controls else draw(st.sampled_from(["H", "X", "MCX"]))
+    qubits = [target, *(q for q, _ in controls)]
+    match draw(st.sampled_from(["none", "kind", "controls", "qubit", "qubit", "polarity", "polarity"])):
+        case "kind":
+            kind = draw(st.sampled_from(["Z", "CZ"]))
+        case "controls":
+            kind = draw(st.sampled_from(["H", "X"]))
+        case "qubit":
+            i = draw(st.integers(0, len(controls)))
+            value = draw(st.sampled_from([-1, n, True, False, 1.0, np.int64(qubits[i]), *qubits]))
+            if i:
+                controls[i - 1][0] = value
+            else:
+                target = value
+        case "polarity" if controls:
+            controls[draw(st.integers(0, len(controls) - 1))][1] = draw(st.sampled_from([2, 1, 0, np.True_]))
+    return Gate(kind, target, tuple(map(tuple, controls)))
+
+
+@st.composite
+def checked_gate_lists(draw):
+    """(n, gates): valid gates with one drawn from :func:`odd_gates` among them."""
+    n = draw(st.integers(1, 5))
+    gs = draw(st.lists(gates(n), max_size=3))
+    gs.insert(draw(st.integers(0, len(gs))), draw(odd_gates(n)))
+    return n, gs
+
+
+def _reference_accepts(n, gates) -> bool:
+    """The check of a circuit, gate by gate: the rules Circuit applies to its arrays at once."""
+    for g in gates:
+        qubits = [g.target, *(q for q, _ in g.controls)]
+        if g.kind not in ("H", "X", "MCX") or (g.controls and g.kind != "MCX"):
+            return False
+        if any(type(q) is bool or not isinstance(q, (int, np.integer)) for q in qubits):
+            return False
+        if any(type(positive) not in (bool, np.bool_) for _, positive in g.controls):
+            return False
+        if len(set(qubits)) < len(qubits) or min(qubits) < 0 or max(qubits) >= n:
+            return False
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(checked_gate_lists())
+def test_circuit_check_accepts_what_the_per_gate_check_accepts(case):
+    n, gs = case
+    try:
+        circuit = Circuit(n, gs)
+    except DomainError:
+        assert not _reference_accepts(n, gs)
+        return
+    assert _reference_accepts(n, gs)
+    assert circuit.gates == tuple(Gate(g.kind, int(g.target), tuple((int(q), bool(p)) for q, p in g.controls))
+                                  for g in gs)
+
 
 # Near-misses of the gate-line grammar, next to arbitrary text.
 tokens = ["H", "X", "MCX", "QUBITS", "->", "-", "q0", "q1", "q2", "+q0", "-q1", "+q", "qx", "q-1", "\t", "2"]
@@ -166,6 +233,25 @@ def test_built_image_tables_are_bijections(case):
 def test_boolean_oracle_is_the_lifted_permutation_gate_for_gate(case):
     f, n = case
     assert synth_boolean_oracle(f, n) == synth_permutation(lift_boolean(f, n), n + 1)
+
+
+@bounded
+@given(basis_circuits())
+def test_permutation_action_is_the_basis_action_of_the_unitary(circuit):
+    # Column x of an X/MCX circuit's unitary holds a single 1, in row images[x].
+    unitary = simulate_unitary(circuit)
+    images = permutation_action(circuit)
+    assert np.count_nonzero(unitary) == len(images) and (unitary[images, np.arange(len(images))] == 1).all()
+
+
+@bounded
+@given(circuits)
+def test_gate_count_counts_gate_by_gate(circuit):
+    counts = {"H": 0, "X": 0, "MCX": 0}
+    for g in circuit.gates:
+        counts[g.kind] += 1
+    total = sum(1 if len(g.controls) <= 1 else 2 * len(g.controls) - 1 for g in circuit.gates)
+    assert gate_count(circuit) == GateCountReport(counts, total)
 
 
 @bounded

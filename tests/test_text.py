@@ -9,6 +9,7 @@ from qpmatch import (
     DomainError,
     OracleIndex,
     Pattern,
+    ResourceError,
     RunConfig,
     Text,
     build_index,
@@ -18,6 +19,7 @@ from qpmatch import (
     hamming_score,
     recode_kgrams,
 )
+from qpmatch.text import INDEX_LENGTH_LIMIT
 
 
 def T(s: str) -> Text:
@@ -466,16 +468,34 @@ class TestIndexSerialization:
         with pytest.raises(DomainError):
             OracleIndex.from_json(json.dumps(document))
 
-    def test_length_without_indicators_allocates_nothing(self):
-        document = '{"version":1,"n":1000000000000,"alphabet":[],"indicators":{}}'
+    @staticmethod
+    def load_traced(document):
+        """(the loaded index or the ResourceError raised, the traced peak in bytes)."""
         tracemalloc.start()
         try:
-            back = OracleIndex.from_json(document)
-            peak = tracemalloc.get_traced_memory()[1]
+            try:
+                outcome = OracleIndex.from_json(document)
+            except ResourceError as exc:
+                outcome = exc
+            return outcome, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert back.n == 10**12 and back.indicators == {}
+
+    def test_length_without_indicators_allocates_nothing(self):
+        # 10^12 positions would have indicator_for allocate 931 GiB; the constructor refuses them first.
+        refused, peak = self.load_traced('{"version":1,"n":1000000000000,"alphabet":[],"indicators":{}}')
+        assert isinstance(refused, ResourceError)
+        assert str(refused) == f"index length 1000000000000 exceeds the limit of {INDEX_LENGTH_LIMIT} positions"
         assert peak < 2**20
+
+    def test_length_is_bounded_at_the_limit(self):
+        document = '{{"version":1,"n":{},"alphabet":[],"indicators":{{}}}}'
+        at_limit, peak = self.load_traced(document.format(INDEX_LENGTH_LIMIT))
+        assert at_limit.n == INDEX_LENGTH_LIMIT and at_limit.indicators == {} and peak < 2**20
+        above, peak = self.load_traced(document.format(INDEX_LENGTH_LIMIT + 1))
+        assert isinstance(above, ResourceError) and peak < 2**20
+        with pytest.raises(ResourceError, match="exceeds the limit"):
+            OracleIndex(INDEX_LENGTH_LIMIT + 1, {})
 
     @pytest.mark.parametrize(
         "document",
