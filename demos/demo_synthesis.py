@@ -9,7 +9,6 @@ import numpy as np
 
 from qpmatch import (
     Text,
-    Transposition,
     build_index,
     emit_circuit,
     expand_mcx,
@@ -26,9 +25,9 @@ from qpmatch import (
 def main() -> None:
     # 1. One transposition on 3 qubits via a Gray-code path.
     width = 3
-    circuit = synth_transposition(Transposition(1, 6), width)
+    circuit = synth_transposition(1, 6, width)
     images = tuple(permutation_action(circuit).tolist())
-    print(f"transposition 1<->6 on {width} qubits: {len(circuit.gates)} gates")
+    print(f"transposition 1<->6 on {width} qubits: {len(circuit.kinds)} gates")
     print(emit_circuit(circuit))
     print(f"action: {images}  (1 and 6 swapped, everything else fixed)\n")
 
@@ -45,13 +44,13 @@ def main() -> None:
     print(f"gate counts {report.counts}, basic-gate estimate {report.basic_gate_total}")
     expanded = expand_mcx(oracle)
     print(f"after Toffoli expansion: {expanded.n_qubits} qubits, "
-          f"{len(expanded.gates)} gates\n")
+          f"{len(expanded.kinds)} gates\n")
 
     # 3. Initial-state circuit for window size M=2 over 2^3 positions.
     s, m = 3, 2
     prep = synth_init_state_circuit(s, m)
     fidelity = init_state_fidelity(prep, s, m)
-    print(f"init-state circuit s={s}, M={m}: {len(prep.gates)} gates on {prep.n_qubits} qubits")
+    print(f"init-state circuit s={s}, M={m}: {len(prep.kinds)} gates on {prep.n_qubits} qubits")
     print(f"fidelity against the closed-form target: {fidelity:.15f}")
 
 

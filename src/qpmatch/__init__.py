@@ -40,7 +40,6 @@ from .circuits import (
     Circuit,
     Gate,
     GateCountReport,
-    Transposition,
     emit_circuit,
     expand_mcx,
     gate_count,

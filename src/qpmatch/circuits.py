@@ -1,15 +1,17 @@
 """Reversible-circuit synthesis and exact verification.
 
-Circuits are gate sequences over {H, X, MCX-with-polarities}, held by
-:class:`Circuit` as flat arrays: a kind and a target per gate, and the
-controls in CSR form.  ``Circuit`` checks them once, vectorised, and every
-consumer of gates takes a ``Circuit``; a :class:`Gate` is plain data that it
-converts, and the text format, the dense kernel and the tests read.  Qubit 0
-is the most significant bit of a basis index, so the bit of qubit q in a
-width-w circuit is ``(index >> (w - 1 - q)) & 1``.  A permutation is compiled
-by splitting it into transpositions via cycle decomposition and realizing each
-transposition as a ladder of multi-controlled X gates along a Gray-code path
-between the two transposed words.
+Circuits are gate sequences over {H, X, MCX-with-polarities}.  A
+:class:`Circuit` is built from its five arrays alone: a kind and a target per
+gate, and the controls in CSR form.  It checks them once, vectorised, and
+every builder, reader and writer of gates (synthesis, the text format, MCX
+expansion and the simulators) works on those arrays.  :attr:`Circuit.gates`
+is a derived view of :class:`Gate` tuples for readers outside the package.
+Qubit 0 is the most significant bit of a basis index, so the bit of qubit q in
+a width-w circuit is ``(index >> (w - 1 - q)) & 1``.  A transposition is the
+pair (a, b) of its endpoints.  A permutation is compiled by splitting it into
+transpositions via cycle decomposition and realizing each transposition as a
+ladder of multi-controlled X gates along a Gray-code path between the two
+transposed words.
 
 A Boolean-function oracle is the lifted bijection (b, x) -> (b ^ f(x), x): one
 transposition (x, 2^n + x) per marked word x.  Each is at Hamming distance 1,
@@ -32,10 +34,8 @@ from the sparse support and summed with ``math.fsum``.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -64,49 +64,22 @@ _DTYPES = (np.uint8, np.int64, np.int64, np.bool_, np.int64)
 
 
 class Gate(NamedTuple):
-    """One gate, plain data that :class:`Circuit` converts and checks; ``controls`` holds (qubit, positive) pairs."""
+    """One gate as :attr:`Circuit.gates` reads it; ``controls`` holds (qubit, positive) pairs."""
 
     kind: str
     target: int
     controls: tuple = ()
 
 
-def _gate_arrays(gates) -> tuple:
-    """The arrays of :class:`Circuit` for a sequence of :class:`Gate`.
-
-    Types are checked before anything is converted: ``np.asarray([0, True])`` is an int64 array,
-    so a bool qubit would pass as qubit 1, and an unknown kind has no code.
-    """
-    kinds, targets, controls = zip(*gates) if gates else ((), (), ())
-    unknown = [kind for kind in kinds if kind not in KINDS]
-    if unknown:
-        raise DomainError(f"unknown gate kind {unknown[0]!r}")
-    pairs = list(chain.from_iterable(controls))
-    try:
-        qubits, polarities = zip(*pairs, strict=True) if pairs else ((), ())
-    except ValueError:
-        raise DomainError("controls must be (integer qubit, bool) pairs") from None
-    integers = all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, targets + qubits)))
-    if not (integers and set(map(type, polarities)) <= {bool, np.bool_}):
-        raise DomainError("a gate must name each qubit by an integer qubit number and each polarity by a bool")
-    try:
-        return (np.array([KINDS.index(kind) for kind in kinds], dtype=np.uint8), np.array(targets, dtype=np.int64),
-                np.array(qubits, dtype=np.int64), np.array(polarities, dtype=bool),
-                np.cumsum([0, *map(len, controls)], dtype=np.int64))
-    except OverflowError:  # a qubit beyond int64
-        raise DomainError("gate addresses qubit outside the circuit") from None
-
-
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    """Gates over ``n_qubits`` qubits, first gate first, as flat read-only arrays; the one place a gate is checked.
+    """Gates over ``n_qubits`` qubits, first gate first, as five flat arrays; the one place a gate is checked.
 
     Gate i has kind ``KINDS[kinds[i]]`` (uint8) and target ``targets[i]`` (int64); its controls are
-    ``qubits[offsets[i]:offsets[i + 1]]`` (int64) with ``polarities`` (bool), offsets int64.
-    ``Circuit(n, gates)`` converts a :class:`Gate` sequence, whose qubits must be Python or numpy
-    integers (not bools) and polarities bools; ``Circuit(n, arrays=...)`` takes the five arrays.
-    One check runs on the arrays, vectorised: ``n_qubits`` is an integer >= 0, each kind is H, X
-    or MCX, only an MCX has controls, no gate repeats a qubit, and every qubit is in ``[0, n_qubits)``.
+    ``qubits[offsets[i]:offsets[i + 1]]`` (int64) with ``polarities`` (bool), offsets int64.  One check
+    runs on construction, vectorised: ``n_qubits`` is an integer >= 0, stored as an ``int``; each array
+    is one-dimensional of its dtype, in CSR form; each kind is H, X or MCX, only an MCX has controls, no
+    gate repeats a qubit, and every qubit is in ``[0, n_qubits)``.  The arrays are then made read-only.
     """
 
     n_qubits: int
@@ -116,16 +89,10 @@ class Circuit:
     polarities: np.ndarray
     offsets: np.ndarray
 
-    def __init__(self, n_qubits, gates=(), *, arrays=None):
-        if not _is_count(n_qubits):
-            raise DomainError(f"qubit count must be an integer >= 0, got {n_qubits!r}")
-        arrays = _gate_arrays(tuple(gates)) if arrays is None else arrays
-        for name, value in zip(("n_qubits", "kinds", "targets", "qubits", "polarities", "offsets"),
-                               (int(n_qubits), *arrays)):
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
     def __post_init__(self):
+        if not _is_count(self.n_qubits):
+            raise DomainError(f"qubit count must be an integer >= 0, got {self.n_qubits!r}")
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
         kinds, targets, qubits, polarities, offsets = arrays = self.arrays
         if not (all(type(a) is np.ndarray and a.ndim == 1 and a.dtype == d for a, d in zip(arrays, _DTYPES))
                 and len(targets) == len(kinds) == len(offsets) - 1 and len(polarities) == len(qubits)
@@ -171,16 +138,9 @@ class Circuit:
         return self.n_qubits == other.n_qubits and all(map(np.array_equal, self.arrays, other.arrays))
 
 
-@dataclass(frozen=True)
-class Transposition:
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not (_is_count(self.a) and _is_count(self.b)):
-            raise DomainError(f"transposition endpoints must be integers >= 0, got {self.a!r} and {self.b!r}")
-        if self.a == self.b:
-            raise DomainError("transposition endpoints must differ")
+def _circuit(n_qubits, *columns) -> Circuit:
+    """The circuit of five sequences of plain ints and bools, each turned into its array's dtype."""
+    return Circuit(n_qubits, *(np.array(c, dtype=d) for c, d in zip(columns, _DTYPES)))
 
 
 @dataclass(frozen=True)
@@ -198,17 +158,13 @@ class GateCountReport:
 # --- text format ---
 
 
-def _format_gate(gate: Gate) -> str:
-    if gate.kind == MCX:
-        ctrls = " ".join(f"{'+' if pos else '-'}q{q}" for q, pos in gate.controls)
-        return f"MCX {ctrls} -> q{gate.target}".replace("  ", " ")
-    return f"{gate.kind} q{gate.target}"
-
-
 def emit_circuit(circuit: Circuit) -> str:
     """Serialize to the one-gate-per-line text format (lossless round trip)."""
+    signed = [f"{'+' if p else '-'}q{q}" for q, p in zip(circuit.qubits.tolist(), circuit.polarities.tolist())]
+    bounds = circuit.offsets.tolist()
     lines = [f"QUBITS {circuit.n_qubits}"]
-    lines.extend(_format_gate(g) for g in circuit.gates)
+    lines += [" ".join(["MCX", *signed[lo:hi], f"-> q{t}"]) if k == _MCX else f"{KINDS[k]} q{t}"
+              for k, t, lo, hi in zip(circuit.kinds.tolist(), circuit.targets.tolist(), bounds, bounds[1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -226,16 +182,21 @@ def parse_circuit(document: str) -> Circuit:
     header = _HEADER_LINE.fullmatch(lines[0]) if lines else None
     if header is None:
         raise DomainError("circuit document must start with a 'QUBITS <count>' header")
-    gates = []
+    kinds, targets, qubits, polarities, offsets = [], [], [], [], [0]
     for ln in lines[1:]:
         if single := _SINGLE_LINE.fullmatch(ln):
-            gates.append(Gate(single[1], int(single[2])))
+            kinds.append(KINDS.index(single[1]))
+            targets.append(int(single[2]))
         elif mcx := _MCX_LINE.fullmatch(ln):
-            controls = tuple((int(tok[2:]), tok[0] == "+") for tok in mcx[1].split())
-            gates.append(Gate(MCX, int(mcx[2]), controls))
+            kinds.append(_MCX)
+            targets.append(int(mcx[2]))
+            for tok in mcx[1].split():
+                qubits.append(int(tok[2:]))
+                polarities.append(tok[0] == "+")
         else:
             raise DomainError(f"malformed gate line: {ln!r}")
-    return Circuit(int(header[1]), tuple(gates))
+        offsets.append(len(qubits))
+    return _circuit(int(header[1]), kinds, targets, qubits, polarities, offsets)
 
 
 # --- permutations, transpositions and Gray codes ---
@@ -268,18 +229,28 @@ def lift_boolean(f, n: int) -> np.ndarray:
     return images
 
 
-def apply_transpositions(transpositions, size: int) -> np.ndarray:
-    """The fresh int64 image table of the transpositions' operator product: the last acts first."""
+def _endpoints(a, b) -> tuple[int, int]:
+    """The transposition (a b) as a pair of ints; its endpoints must be distinct integers >= 0."""
+    if not (_is_count(a) and _is_count(b)):
+        raise DomainError(f"transposition endpoints must be integers >= 0, got {a!r} and {b!r}")
+    if a == b:
+        raise DomainError("transposition endpoints must differ")
+    return int(a), int(b)
+
+
+def apply_transpositions(pairs, size: int) -> np.ndarray:
+    """The fresh int64 image table of the operator product of the transpositions (a, b): the last acts first."""
     images = np.arange(size, dtype=np.int64)
-    for t in transpositions:  # images = images o t, so the last t acts first
-        if max(t.a, t.b) >= size:  # a Transposition's endpoints are integers >= 0
-            raise DomainError(f"transposition ({t.a} {t.b}) out of range [0, {size})")
-        images[t.a], images[t.b] = images[t.b], images[t.a]
+    for pair in pairs:  # images = images o (a b), so the last pair acts first
+        a, b = _endpoints(*pair)
+        if max(a, b) >= size:
+            raise DomainError(f"transposition ({a} {b}) out of range [0, {size})")
+        images[a], images[b] = images[b], images[a]
     return images
 
 
 def permutation_to_transpositions(images):
-    """Split the permutation with image table ``images`` into at most len(images) - 1 transpositions.
+    """Split the permutation with image table ``images`` into at most len(images) - 1 transpositions (a, b).
 
     The one check of a table: it must be a one-dimensional integer array (floats and bools are
     refused, not truncated) holding each of 0 ... len - 1 once, or DomainError.  Each cycle
@@ -303,7 +274,7 @@ def permutation_to_transpositions(images):
             seen[cur] = True
             cur = images[cur]
         for elem in reversed(cycle[1:]):
-            out.append(Transposition(cycle[0], elem))
+            out.append((cycle[0], elem))
     return out
 
 
@@ -333,20 +304,20 @@ def _check_control_entries(entries: int, what: str) -> None:
         raise ResourceError(f"{what} needs {entries} control entries, beyond the limit of {CONTROL_ENTRIES_LIMIT}")
 
 
-def _ladder_entries(transpositions, width) -> int:
-    """Control entries of the ladders of ``transpositions``: 2d - 1 gates of width - 1 controls each.
+def _ladder_entries(pairs, width) -> int:
+    """Control entries of the ladders of the transpositions (a, b): 2d - 1 gates of width - 1 controls each.
 
-    d is the Hamming distance of a transposition's endpoints.  What :func:`gray_code` refuses, a width
+    d is the Hamming distance of a and b, distinct ints >= 0.  What :func:`gray_code` refuses, a width
     or endpoints it cannot hold, counts nothing: its error comes first.
     """
     if not _is_count(width):
         return 0
-    d = [(int(t.a) ^ int(t.b)).bit_count() for t in transpositions if int(max(t.a, t.b)).bit_length() <= width]
+    d = [(a ^ b).bit_count() for a, b in pairs if max(a, b).bit_length() <= width]
     return (2 * sum(d) - len(d)) * (width - 1)
 
 
-def _ladders(transpositions, width: int) -> Circuit:
-    """One circuit of the ladders of ``transpositions``, laid down in order.
+def _ladders(pairs, width: int) -> Circuit:
+    """One circuit of the ladders of the transpositions (a, b), laid down in order.
 
     A ladder is a forward sweep along the Gray-code path and its mirror, which undoes steps
     k - 1 ... 1.  Step j flips the one bit in which words j and j + 1 differ, controlled by every
@@ -354,28 +325,28 @@ def _ladders(transpositions, width: int) -> Circuit:
     so a width beyond 63 bits needs no special case.
     """
     steps = []
-    for t in transpositions:
-        path = gray_code(t.a, t.b, width)
+    for a, b in pairs:
+        path = gray_code(a, b, width)
         ladder = [(width - (u ^ v).bit_length(), f"{u:0{width}b}") for u, v in zip(path, path[1:])]
         steps += ladder + ladder[-2::-1]
     targets = np.array([target for target, _ in steps], dtype=np.int64)
     words = np.frombuffer("".join(word for _, word in steps).encode(), dtype=np.uint8).reshape(len(steps), width)
     controlled = np.arange(width) != targets[:, None]
-    return Circuit(width, arrays=(np.full(len(steps), _MCX if width > 1 else _X, dtype=np.uint8), targets,
-                                  np.nonzero(controlled)[1], words[controlled] == ord("1"),
-                                  np.arange(len(steps) + 1) * (width - 1)))
+    return Circuit(width, np.full(len(steps), _MCX if width > 1 else _X, dtype=np.uint8), targets,
+                   np.nonzero(controlled)[1], words[controlled] == ord("1"), np.arange(len(steps) + 1) * (width - 1))
 
 
-def synth_transposition(t: Transposition, width: int) -> Circuit:
+def synth_transposition(a, b, width: int) -> Circuit:
     """Synthesize the transposition |a> <-> |b> as 2k - 1 multi-controlled X gates.
 
-    k is the Hamming distance between the endpoints.  A forward sweep along
-    the Gray-code path shifts a to b (cyclically displacing the interior
-    words); the backward sweep restores the interior, leaving the pure
-    transposition.
+    a and b must be distinct integers >= 0.  k is the Hamming distance between
+    them.  A forward sweep along the Gray-code path shifts a to b (cyclically
+    displacing the interior words); the backward sweep restores the interior,
+    leaving the pure transposition.
     """
-    _check_control_entries(_ladder_entries([t], width), "transposition")
-    return _ladders([t], width)
+    pair = _endpoints(a, b)
+    _check_control_entries(_ladder_entries([pair], width), "transposition")
+    return _ladders([pair], width)
 
 
 def synth_permutation(images, width: int) -> Circuit:
@@ -400,9 +371,8 @@ def synth_boolean_oracle(f, n: int) -> Circuit:
     marked = _marked_words(f, n)[::-1]
     _check_control_entries(len(marked) * n, "oracle")
     polarities = (marked[:, None] & (1 << np.arange(n - 1, -1, -1))) != 0  # row g: qubits 1 ... n of gate g
-    return Circuit(n + 1, arrays=(np.full(len(marked), _MCX, dtype=np.uint8), np.zeros(len(marked), dtype=np.int64),
-                                  np.tile(np.arange(1, n + 1), len(marked)), polarities.ravel(),
-                                  np.arange(len(marked) + 1) * n))
+    return Circuit(n + 1, np.full(len(marked), _MCX, dtype=np.uint8), np.zeros(len(marked), dtype=np.int64),
+                   np.tile(np.arange(1, n + 1), len(marked)), polarities.ravel(), np.arange(len(marked) + 1) * n)
 
 
 def oracle_gate_count(f, n: int) -> GateCountReport:
@@ -423,9 +393,9 @@ def synth_phase_oracle(f, n: int) -> Circuit:
     """
     oracle = synth_boolean_oracle(f, n)
     prep, end = np.array([_X, _H], dtype=np.uint8), oracle.offsets[-1:]  # prep and unprep gates have no controls
-    return Circuit(n + 1, arrays=(np.concatenate((prep, oracle.kinds, prep[::-1])),
-                                  np.concatenate(([0, 0], oracle.targets, [0, 0])), oracle.qubits, oracle.polarities,
-                                  np.concatenate(([0, 0], oracle.offsets, end, end))))
+    return Circuit(n + 1, np.concatenate((prep, oracle.kinds, prep[::-1])),
+                   np.concatenate(([0, 0], oracle.targets, [0, 0])), oracle.qubits, oracle.polarities,
+                   np.concatenate(([0, 0], oracle.offsets, end, end)))
 
 
 def synth_init_state_circuit(s: int, m: int) -> Circuit:
@@ -446,9 +416,9 @@ def synth_init_state_circuit(s: int, m: int) -> Circuit:
     firsts = np.arange(s, s * m, s)[:, None]
     qubits = (np.array(controls) + firsts).ravel()
     counts = [0] * s + ([1] * s + [*range(s - 1, -1, -1)]) * (m - 1)
-    return Circuit(s * m, arrays=(np.array([_H] * s + ([_MCX] * (2 * s - 1) + [_X]) * (m - 1), dtype=np.uint8),
-                                  np.concatenate((np.arange(s), (np.tile(np.arange(s), 2) + firsts).ravel())),
-                                  qubits, np.ones(len(qubits), dtype=bool), np.cumsum([0, *counts], dtype=np.int64)))
+    return Circuit(s * m, np.array([_H] * s + ([_MCX] * (2 * s - 1) + [_X]) * (m - 1), dtype=np.uint8),
+                   np.concatenate((np.arange(s), (np.tile(np.arange(s), 2) + firsts).ravel())),
+                   qubits, np.ones(len(qubits), dtype=bool), np.cumsum([0, *counts], dtype=np.int64))
 
 
 def _windows(s: int, m: int) -> np.ndarray:
@@ -470,8 +440,8 @@ def init_state_target(s: int, m: int) -> np.ndarray:
 # --- simulation: dense unitary, sparse statevector, basis permutation ---
 
 
-def _apply_gates(state: np.ndarray, gates, n: int) -> None:
-    """Apply ``gates`` in order, in place; ``state`` has shape (2^n,) or (2^n, batch).
+def _apply_gates(state: np.ndarray, circuit: Circuit) -> None:
+    """Apply the gates of ``circuit`` in order, in place; ``state`` has shape (2^n,) or (2^n, batch).
 
     The state is viewed as one axis per qubit (qubit 0 first), so a gate's
     two halves are basic-index views: controls fixed to their polarity, the
@@ -479,19 +449,21 @@ def _apply_gates(state: np.ndarray, gates, n: int) -> None:
     fully indexed half a 0-d view instead of a copied scalar.  Hadamards
     round exactly like ``(a + b) * _SQRT_HALF`` and ``(a - b) * _SQRT_HALF``.
     """
+    n = circuit.n_qubits
     view = state.reshape((2,) * n + state.shape[1:])
     scratch = np.empty(state.size // 2, dtype=state.dtype)
-    for gate in gates:
+    qubits, values, bounds = circuit.qubits.tolist(), circuit.polarities.astype(int).tolist(), circuit.offsets.tolist()
+    for kind, target, lo, hi in zip(circuit.kinds.tolist(), circuit.targets.tolist(), bounds, bounds[1:]):
         index = [_ALL] * n
-        for q, positive in gate.controls:
-            index[q] = int(positive)
-        index[gate.target] = 0
+        for q, value in zip(qubits[lo:hi], values[lo:hi]):
+            index[q] = value
+        index[target] = 0
         low = view[tuple(index) + (Ellipsis,)]
-        index[gate.target] = 1
+        index[target] = 1
         high = view[tuple(index) + (Ellipsis,)]
         tmp = scratch[: low.size].reshape(low.shape)
         np.copyto(tmp, low)
-        if gate.kind == HADAMARD:
+        if kind == _H:
             low += high
             low *= _SQRT_HALF
             np.subtract(tmp, high, out=high)
@@ -596,7 +568,7 @@ def simulate_unitary(circuit: Circuit) -> np.ndarray:
     if n > UNITARY_QUBIT_LIMIT:
         raise ResourceError(f"{n} qubits exceeds the unitary limit of {UNITARY_QUBIT_LIMIT}")
     mat = np.eye(2**n)
-    _apply_gates(mat, circuit.gates, n)
+    _apply_gates(mat, circuit)
     return mat.astype(np.complex128)
 
 
@@ -677,23 +649,26 @@ def expand_mcx(circuit: Circuit) -> Circuit:
     _check_control_entries(int(np.where(sizes <= 2, sizes, 4 * sizes - 6).sum()), "MCX expansion")
     extra = max(int(sizes.max(initial=0)) - 2, 0)
     n = circuit.n_qubits
-    gates = []
-    for gate in circuit.gates:
-        if gate.kind == HADAMARD or not gate.controls:
-            gates.append(gate)
-            continue
-        flips = [Gate(PAULI_X, q) for q, positive in gate.controls if not positive]
-        ctrls = [q for q, _ in gate.controls]
-        gates.extend(flips)
-        if len(ctrls) <= 2:
-            gates.append(Gate(MCX, gate.target, tuple((q, True) for q in ctrls)))
+    kinds, targets, qubits, offsets = [], [], [], [0]
+
+    def put(kind, target, *controls):
+        kinds.append(kind)
+        targets.append(target)
+        qubits.extend(controls)
+        offsets.append(len(qubits))
+
+    controls, positive, bounds = circuit.qubits.tolist(), circuit.polarities.tolist(), circuit.offsets.tolist()
+    for kind, target, lo, hi in zip(circuit.kinds.tolist(), circuit.targets.tolist(), bounds, bounds[1:]):
+        ctrls = controls[lo:hi]
+        flips = [q for q, p in zip(ctrls, positive[lo:hi]) if not p]
+        for q in flips:
+            put(_X, q)
+        if len(ctrls) <= 2:  # H, X and MCX of up to two controls keep their kind
+            put(kind, target, *ctrls)
         else:
-            ladder = [Gate(MCX, n, ((ctrls[0], True), (ctrls[1], True)))]
-            for i, q in enumerate(ctrls[2:-1]):
-                ladder.append(Gate(MCX, n + i + 1, ((q, True), (n + i, True))))
-            top = n + len(ctrls) - 3
-            gates.extend(ladder)
-            gates.append(Gate(MCX, gate.target, ((ctrls[-1], True), (top, True))))
-            gates.extend(reversed(ladder))
-        gates.extend(flips)
-    return Circuit(n + extra, tuple(gates))
+            ladder = [(n, ctrls[0], ctrls[1]), *((n + i + 1, q, n + i) for i, q in enumerate(ctrls[2:-1]))]
+            for gate in (*ladder, (target, ctrls[-1], n + len(ctrls) - 3), *reversed(ladder)):
+                put(_MCX, *gate)
+        for q in flips:
+            put(_X, q)
+    return _circuit(n + extra, kinds, targets, qubits, [True] * len(qubits), offsets)

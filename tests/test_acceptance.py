@@ -38,7 +38,6 @@ from qpmatch import (
     synth_boolean_oracle,
     synth_init_state_circuit,
     synth_transposition,
-    Transposition,
 )
 from qpmatch.cli import main as cli_main
 
@@ -151,7 +150,7 @@ def test_criterion_5_circuit_exactness():
     for _ in range(200):
         width = int(rng.integers(1, 9))
         a, b = (int(v) for v in rng.choice(2**width, size=2, replace=False))
-        circuit = synth_transposition(Transposition(a, b), width)
+        circuit = synth_transposition(a, b, width)
         expected = list(range(2**width))
         expected[a], expected[b] = b, a
         failures += not np.array_equal(permutation_action(circuit), tuple(expected))

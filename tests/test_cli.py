@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -33,6 +34,20 @@ def text_file(tmp_path):
     path = tmp_path / "text.bin"
     path.write_bytes(b"abab")
     return str(path)
+
+
+def _without_first_gate(circuit):
+    kinds, targets, qubits, polarities, offsets = circuit.arrays
+    start = offsets[1]
+    return circuits.Circuit(circuit.n_qubits, kinds[1:], targets[1:], qubits[start:], polarities[start:],
+                            offsets[1:] - start)
+
+
+def _with_first_control_flipped(circuit):
+    """``circuit`` with the polarity of its first control entry, that of the first controlled gate, flipped."""
+    polarities = circuit.polarities.copy()
+    polarities[0] = not polarities[0]
+    return dataclasses.replace(circuit, polarities=polarities)
 
 
 def run_cli(capsys, *argv):
@@ -274,13 +289,8 @@ class TestSynthCommand:
     @pytest.mark.parametrize("fault, deviation", [("dropped gate", "5.000e-01"), ("flipped control", "1.000e+00")])
     def test_init_state_with_a_broken_gate_fails_verification(self, capsys, monkeypatch, fault, deviation):
         def broken(s, m):
-            gates = circuits.synth_init_state_circuit(s, m).gates
-            if fault == "dropped gate":
-                return circuits.Circuit(s * m, gates[1:])
-            i = next(i for i, gate in enumerate(gates) if gate.controls)
-            (q, positive), *controls = gates[i].controls
-            flipped = circuits.Gate(gates[i].kind, gates[i].target, ((q, not positive), *controls))
-            return circuits.Circuit(s * m, (*gates[:i], flipped, *gates[i + 1:]))
+            circuit = circuits.synth_init_state_circuit(s, m)
+            return _without_first_gate(circuit) if fault == "dropped gate" else _with_first_control_flipped(circuit)
 
         monkeypatch.setattr(cli, "synth_init_state_circuit", broken)
         code, stdout, err = run_cli(capsys, "synth", "init-state", "--s", "3", "--m", "2", "--verify")
@@ -289,8 +299,7 @@ class TestSynthCommand:
 
     def test_oracle_with_a_dropped_gate_fails_verification(self, capsys, monkeypatch):
         def dropped(f, n):
-            circuit = circuits.synth_boolean_oracle(f, n)
-            return circuits.Circuit(circuit.n_qubits, circuit.gates[1:])
+            return _without_first_gate(circuits.synth_boolean_oracle(f, n))
 
         monkeypatch.setattr(cli, "synth_boolean_oracle", dropped)
         code, stdout, err = run_cli(capsys, "synth", "oracle", "--text", "abab", "--symbol", "a", "--verify")
@@ -301,17 +310,34 @@ class TestSynthCommand:
         ]
 
     def test_transposition_with_a_flipped_polarity_fails_verification(self, capsys, monkeypatch):
-        def flipped(t, width):
-            first, *rest = circuits.synth_transposition(t, width).gates
-            (q, positive), *controls = first.controls
-            first = circuits.Gate(first.kind, first.target, ((q, not positive), *controls))
-            return circuits.Circuit(width, (first, *rest))
+        def flipped(a, b, width):
+            return _with_first_control_flipped(circuits.synth_transposition(a, b, width))
 
         monkeypatch.setattr(cli, "synth_transposition", flipped)
         code, stdout, err = run_cli(capsys, "synth", "transposition", "--width", "3", "--a", "0", "--b", "7",
                                     "--verify")
         assert (code, err) == (2, "")
         assert stdout.splitlines()[2] == "verify: FAIL (max deviation 1.000e+00)"
+
+    # The check swaps a and b back on the circuit's table and asks for the identity: a circuit that
+    # moves nothing, or swaps another pair, leaves a table that is not increasing.
+    @pytest.mark.parametrize("wrong", [
+        lambda a, b, width: circuits.parse_circuit(f"QUBITS {width}"),
+        lambda a, b, width: circuits.synth_transposition(a, b ^ 1, width),
+    ], ids=["identity", "another transposition"])
+    def test_transposition_verify_fails_on_another_permutation(self, capsys, monkeypatch, wrong):
+        monkeypatch.setattr(cli, "synth_transposition", wrong)
+        code, stdout, err = run_cli(capsys, "synth", "transposition", "--width", "3", "--a", "0", "--b", "7",
+                                    "--verify")
+        assert (code, err) == (2, "")
+        assert stdout.splitlines()[2] == "verify: FAIL (max deviation 1.000e+00)"
+
+    def test_a_repeated_flag_takes_its_last_value(self, capsys):
+        code, stdout, err = run_cli(capsys, "synth", "transposition", "--width", "4", "--a", "1", "--b", "6",
+                                    "--a", "2", "--verify")
+        assert (code, err) == (0, "")
+        assert stdout.splitlines()[0] == "synthesized transposition 2<->6 width 4: 1 gates"
+        assert stdout.splitlines()[2] == "verify: PASS (max deviation 0.000e+00)"
 
     def test_resource_limit_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -624,10 +650,51 @@ def _run_in_process(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def _assert_exit_contract(argv, out_file):
-    """Exit 0-3; a failure writes one stderr line and no traceback; a success replays byte for byte."""
+# The flags each command cannot run without (--pattern stands for its group with --pattern-file).
+REQUIRED = {"index": ("--text", "--out"), "baseline": ("--text", "--pattern"), "search": ("--text", "--pattern"),
+            "transposition": ("--width", "--a", "--b"), "oracle": ("--text", "--symbol"), "init-state": ("--s", "--m"),
+            "scaling-report": ()}
+# A value every command parses for each flag, given to an earlier occurrence of it; paths go under "earlier".
+EARLIER = {"--format": "json", "--kgram": "2", "--r": "random", "--pattern": "zz", "--symbol": "z"}
+PATHS = ("--text", "--out", "--emit")
+
+# No edit, most of the time; else leave out a required flag or give a flag twice, the pick-th one.
+edits = st.tuples(st.sampled_from([None, None, None, None, "drop", "repeat"]), st.integers(0, 7))
+
+
+def _flag_positions(argv):
+    """The index of each flag in a drawn ``argv``; every flag but --verify takes one value."""
+    positions = []
+    i = next((i for i, arg in enumerate(argv) if arg.startswith("--")), len(argv))
+    while i < len(argv):
+        positions.append(i)
+        i += 1 if argv[i] == "--verify" else 2
+    return positions
+
+
+def _assert_exit_contract(argv, out_file, edit=(None, 0), tmp=None):
+    """Exit 0-3; a failure writes one stderr line and no traceback; a success replays byte for byte.
+
+    ``edit`` leaves out a required flag, a usage error, or gives a flag an earlier occurrence, which
+    changes no output byte: argparse keeps a flag's last value.
+    """
+    kind, pick = edit
+    flags = [i for i in _flag_positions(argv) if argv[i] != "--verify"]
+    required = [i for i in flags if argv[i] in REQUIRED[argv[1] if argv[0] == "synth" else argv[0]]]
+    if kind == "drop" and required:
+        i = required[pick % len(required)]
+        code, out, err = _run_in_process(argv[:i] + argv[i + 2:])
+        assert (code, out) == (1, "") and err.startswith("usage error: ") and err.count("\n") == 1
+        return
     code, out, err = _run_in_process(argv)
     assert code in (0, 1, 2, 3)
+    if kind == "repeat":
+        flag = argv[flags[pick % len(flags)]]
+        earlier = os.path.join(tmp, "earlier") if flag in PATHS else EARLIER.get(flag, "3")
+        written = Path(out_file).read_bytes() if out_file and code == 0 else None
+        assert _run_in_process(argv[:flags[0]] + [flag, earlier] + argv[flags[0]:]) == (code, out, err)
+        assert (Path(out_file).read_bytes() if written is not None else None) == written
+        assert not os.path.exists(os.path.join(tmp, "earlier"))
     if code:
         assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
         return
@@ -637,11 +704,11 @@ def _assert_exit_contract(argv, out_file):
 
 
 @settings(derandomize=True, deadline=None, max_examples=250, database=None)
-@given(cli_calls())
-def test_exit_contract_over_drawn_arguments(call):
+@given(cli_calls(), edits)
+def test_exit_contract_over_drawn_arguments(call, edit):
     # A temporary directory per example: a function-scoped fixture is shared by all examples.
     with tempfile.TemporaryDirectory() as tmp:
-        _assert_exit_contract(*_argv(call, tmp))
+        _assert_exit_contract(*_argv(call, tmp), edit, tmp)
 
 
 # --- the same contract for synth and scaling-report ---
@@ -678,11 +745,11 @@ def synth_calls(draw):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
-@given(synth_calls())
-def test_exit_contract_of_synth_and_scaling_report_over_drawn_arguments(case):
+@given(synth_calls(), edits)
+def test_exit_contract_of_synth_and_scaling_report_over_drawn_arguments(case, edit):
     argv, target = case
     with tempfile.TemporaryDirectory() as tmp:
         out = {"file": os.path.join(tmp, "out"), "directory": tmp, None: None}[target]
         if out is not None:
             argv = argv + ["--out" if argv[0] == "scaling-report" else "--emit", out]
-        _assert_exit_contract(argv, out if target == "file" else None)
+        _assert_exit_contract(argv, out if target == "file" else None, edit, tmp)

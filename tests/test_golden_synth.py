@@ -33,7 +33,6 @@ import pytest
 
 from qpmatch import (
     Circuit,
-    Gate,
     emit_circuit,
     parse_circuit,
     permutation_action,
@@ -75,17 +74,18 @@ def _sha(data: bytes) -> str:
 
 def _random_circuit(rng, n: int, with_hadamard: bool) -> Circuit:
     kinds = ("H", "X", "MCX") if with_hadamard else ("X", "MCX")
-    gates = []
+    lines = [f"QUBITS {n}"]
     for _ in range(int(rng.integers(0, 4 * n + 1))):
         kind = kinds[int(rng.integers(len(kinds)))]
         target = int(rng.integers(n))
         if kind != "MCX":
-            gates.append(Gate(kind, target))
+            lines.append(f"{kind} q{target}")
             continue
         others = rng.permutation([q for q in range(n) if q != target])
         c = int(rng.integers(0, len(others) + 1))
-        gates.append(Gate("MCX", target, tuple((int(q), bool(rng.integers(2))) for q in others[:c])))
-    return Circuit(n, tuple(gates))
+        controls = [f"{'+' if rng.integers(2) else '-'}q{q}" for q in others[:c]]
+        lines.append(" ".join(["MCX", *controls, f"-> q{target}"]))
+    return parse_circuit("\n".join(lines))
 
 
 def _kernel_digests(circuit: Circuit, basis_input: int) -> dict:

@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 from qpmatch import (
     Circuit,
     DomainError,
-    Gate,
     GateCountReport,
     OracleIndex,
     Pattern,
     Text,
-    Transposition,
     build_index,
     closest_match_classical,
     emit_circuit,
@@ -33,17 +31,27 @@ from qpmatch import (
     synth_boolean_oracle,
     synth_permutation,
 )
-from qpmatch.circuits import apply_transpositions
+from qpmatch.circuits import KINDS, apply_transpositions
 
 bounded = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
 
+def arrays_of(gates) -> tuple:
+    """The five arrays of :class:`Circuit` for gates given as (kind code, target, ((qubit, positive), ...))."""
+    controls = [control for _, _, cs in gates for control in cs]
+    return (np.array([kind for kind, _, _ in gates], dtype=np.uint8),
+            np.array([target for _, target, _ in gates], dtype=np.int64),
+            np.array([q for q, _ in controls], dtype=np.int64), np.array([p for _, p in controls], dtype=bool),
+            np.cumsum([0, *(len(cs) for _, _, cs in gates)], dtype=np.int64))
+
+
 @st.composite
 def gates(draw, n):
-    kind = draw(st.sampled_from(["H", "X", "MCX"]))
+    """A valid gate as (kind code, target, controls): H, X or MCX by its code in ``KINDS``."""
+    kind = draw(st.sampled_from(range(len(KINDS))))
     target = draw(st.integers(0, n - 1))
-    if kind != "MCX":
-        return Gate(kind, target)
+    if KINDS[kind] != "MCX":
+        return kind, target, ()
     others = [q for q in range(n) if q != target]
     controls = draw(
         st.lists(
@@ -51,39 +59,37 @@ def gates(draw, n):
             unique_by=lambda control: control[0],
         )
     )
-    return Gate("MCX", target, tuple(controls))
+    return kind, target, tuple(controls)
 
 
 circuits = st.integers(1, 6).flatmap(
-    lambda n: st.lists(gates(n), max_size=12).map(lambda gs: Circuit(n, tuple(gs)))
+    lambda n: st.lists(gates(n), max_size=12).map(lambda gs: Circuit(n, *arrays_of(gs)))
 )
 
 
 @st.composite
 def odd_gates(draw, n):
-    """A valid gate with at most one rule of Circuit's check broken: an unknown kind, controls on H or X,
-    a repeated, negative or out-of-range qubit, True or 1.0 as a qubit, or 2 or 1 as a polarity."""
+    """A valid gate with at most one rule of Circuit's check broken: an unknown kind code,
+    controls on H or X, or a repeated, negative or out-of-range qubit."""
     target = draw(st.integers(0, n - 1))
     others = [q for q in range(n) if q != target]
     chosen = draw(st.lists(st.sampled_from(others), unique=True, max_size=3)) if others else []
     controls = [[q, draw(st.booleans())] for q in chosen]
-    kind = "MCX" if controls else draw(st.sampled_from(["H", "X", "MCX"]))
-    qubits = [target, *(q for q, _ in controls)]
-    match draw(st.sampled_from(["none", "kind", "controls", "qubit", "qubit", "polarity", "polarity"])):
+    kind = 2 if controls else draw(st.integers(0, 2))
+    qubits = [target, *chosen]
+    match draw(st.sampled_from(["none", "kind", "controls", "qubit", "qubit"])):
         case "kind":
-            kind = draw(st.sampled_from(["Z", "CZ"]))
+            kind = draw(st.integers(3, 255))
         case "controls":
-            kind = draw(st.sampled_from(["H", "X"]))
+            kind = draw(st.integers(0, 1))
         case "qubit":
             i = draw(st.integers(0, len(controls)))
-            value = draw(st.sampled_from([-1, n, True, False, 1.0, np.int64(qubits[i]), *qubits]))
+            value = draw(st.sampled_from([-1, n, *qubits]))
             if i:
                 controls[i - 1][0] = value
             else:
                 target = value
-        case "polarity" if controls:
-            controls[draw(st.integers(0, len(controls) - 1))][1] = draw(st.sampled_from([2, 1, 0, np.True_]))
-    return Gate(kind, target, tuple(map(tuple, controls)))
+    return kind, target, tuple(map(tuple, controls))
 
 
 @st.composite
@@ -97,31 +103,33 @@ def checked_gate_lists(draw):
 
 def _reference_accepts(n, gates) -> bool:
     """The check of a circuit, gate by gate: the rules Circuit applies to its arrays at once."""
-    for g in gates:
-        qubits = [g.target, *(q for q, _ in g.controls)]
-        if g.kind not in ("H", "X", "MCX") or (g.controls and g.kind != "MCX"):
-            return False
-        if any(type(q) is bool or not isinstance(q, (int, np.integer)) for q in qubits):
-            return False
-        if any(type(positive) not in (bool, np.bool_) for _, positive in g.controls):
+    for kind, target, controls in gates:
+        qubits = [target, *(q for q, _ in controls)]
+        if kind >= len(KINDS) or (controls and KINDS[kind] != "MCX"):
             return False
         if len(set(qubits)) < len(qubits) or min(qubits) < 0 or max(qubits) >= n:
             return False
     return True
 
 
+# Per array of :func:`arrays_of`, a dtype Circuit refuses there.
+WRONG_DTYPES = (np.int64, np.int32, np.float64, np.uint8, np.int32)
+
+
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
-@given(checked_gate_lists())
-def test_circuit_check_accepts_what_the_per_gate_check_accepts(case):
+@given(checked_gate_lists(), st.sampled_from([None, None, None, 0, 1, 2, 3, 4]))
+def test_circuit_check_accepts_what_the_per_gate_check_accepts(case, wrong):
     n, gs = case
+    arrays = list(arrays_of(gs))
+    if wrong is not None:
+        arrays[wrong] = arrays[wrong].astype(WRONG_DTYPES[wrong])
     try:
-        circuit = Circuit(n, gs)
+        circuit = Circuit(n, *arrays)
     except DomainError:
-        assert not _reference_accepts(n, gs)
+        assert wrong is not None or not _reference_accepts(n, gs)
         return
-    assert _reference_accepts(n, gs)
-    assert circuit.gates == tuple(Gate(g.kind, int(g.target), tuple((int(q), bool(p)) for q, p in g.controls))
-                                  for g in gs)
+    assert wrong is None and _reference_accepts(n, gs)
+    assert circuit.gates == tuple((KINDS[kind], target, controls) for kind, target, controls in gs)
 
 
 # Near-misses of the gate-line grammar, next to arbitrary text.
@@ -152,7 +160,7 @@ def test_emit_parse_round_trip(circuit):
 
 @bounded
 @given(st.integers(1, 8).flatmap(
-    lambda n: st.tuples(st.lists(gates(n), max_size=24).map(lambda gs: Circuit(n, tuple(gs))),
+    lambda n: st.tuples(st.lists(gates(n), max_size=24).map(lambda gs: Circuit(n, *arrays_of(gs))),
                         st.integers(0, 2**n - 1))
 ))
 def test_statevector_is_the_unitary_column_byte_for_byte(case):
@@ -199,18 +207,18 @@ def basis_circuits(draw):
             st.tuples(st.sampled_from(others), st.booleans()) if others else st.nothing(),
             unique_by=lambda control: control[0],
         )
-        run = [Gate("MCX", target, tuple(c)) if c else Gate("X", target)
+        run = [(KINDS.index("MCX") if c else KINDS.index("X"), target, tuple(c))
                for c in draw(st.lists(controls, min_size=1, max_size=3))]
         if draw(st.booleans()):
             run.append(draw(st.sampled_from(run)))
         gs += draw(st.permutations(run))
-    return Circuit(n, tuple(gs))
+    return Circuit(n, *arrays_of(gs))
 
 
 transposition_lists = st.integers(2, 64).flatmap(
     lambda size: st.tuples(
         st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)).filter(lambda ab: ab[0] != ab[1]),
-                 max_size=10).map(lambda pairs: [Transposition(a, b) for a, b in pairs]),
+                 max_size=10),
         st.just(size),
     )
 )

@@ -525,3 +525,56 @@ class TestNumericalHealth:
             for probs in walked:
                 assert abs(probs.sum() - 1.0) <= NORM_TOL, label
             assert abs(dist.probabilities.sum() - 1.0) <= NORM_TOL, label
+
+
+def _exact_walk(n, k, in_t, key):
+    """The walk of one reduced schedule in exact integers: (c, K·N^(2t)) with p_i = Σ_k c_ik² / (K·N^(2t)).
+
+    Scaled by √K·N^t the amplitudes are integers: the initial state is the identity on the first
+    K rows, a ``j = 1`` step negates the rows of T, and the diffusion maps c to 2·colsum(c) − N·c.
+    Python integers in numpy object arrays keep every value exact.
+    """
+    c = np.zeros((n, k), dtype=object)
+    c[np.arange(k), np.arange(k)] = 1
+    for j1 in key:
+        if j1:
+            c[in_t] = -c[in_t]
+        c = 2 * c.sum(axis=0) - n * c
+    return (c * c).sum(axis=1), k * n ** (2 * len(key))
+
+
+class TestExactReference:
+    """The float walk against Grover's iteration in exact integer arithmetic."""
+
+    #: Largest distance, in units of the spacing of floats at 1/K, from a walked probability to the
+    #: correctly rounded exact one; the keys below reach 9.
+    ULPS = 16
+
+    def test_walk_within_ulps_of_the_exact_reference(self):
+        for label, text, pattern, idx in _edge_instances():
+            n, m = text.n, pattern.m
+            k = n - m + 1
+            in_t = _first_symbol_positions(pattern, idx)
+            keys = dict.fromkeys(_reduced(draw_schedule(trial_rng(1, t), n, m)) for t in range(4))
+            walked = _walk_schedules(_state_buffer(n, m), keys, in_t)
+            # Any row permutation keeping T and the first K rows commutes with the walk, so the
+            # exact value depends only on (i in T, i < K).
+            classes = in_t * 2 + (np.arange(n) < k)
+            for key in keys:
+                numerators, denominator = _exact_walk(n, k, in_t, key)
+                assert sum(numerators) == denominator, (label, key)
+                assert all(len(set(numerators[classes == c])) <= 1 for c in range(4)), (label, key)
+                exact = np.array([x / denominator for x in numerators])  # int / int rounds correctly
+                assert np.abs(walked[key] - exact).max() <= self.ULPS * np.spacing(1 / k), (label, key)
+
+    def test_printed_argmax_lies_in_the_exact_maximum_class(self):
+        # The m_equals_n golden: the exact mean over its trials' schedules, as integers over one denominator.
+        label, text, pattern, config = next(case for case in _golden_shapes() if case[0] == "m_equals_n")
+        n, m = text.n, pattern.m
+        in_t = _first_symbol_positions(pattern, build_index(text))
+        keys = [_reduced(draw_schedule(trial_rng(config.seed, t), n, m, config.r_mode)) for t in range(config.trials)]
+        depth = max(map(len, keys))
+        total = sum(_exact_walk(n, n - m + 1, in_t, key)[0] * n ** (2 * (depth - len(key))) for key in keys)
+        printed = (GOLDEN_INPUTS.parent / f"{label}.stdout").read_text().splitlines()[0]
+        assert printed.startswith("measured argmax: ")
+        assert total[int(printed.split()[-1])] == max(total)
