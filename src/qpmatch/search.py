@@ -136,7 +136,7 @@ def run_once(
 
 
 def _state_buffer(n: int, m: int) -> np.ndarray:
-    """The one state buffer a trial loop evolves in place, size-checked first."""
+    """The N x K scratch that :func:`_walk_schedules` fills for its ordered sums, size-checked first."""
     k = n - m + 1
     # Every operator is real, so float64 holds the reference's exact values.
     # At K = 1 numpy sums the single contiguous column pairwise, and its
@@ -168,48 +168,63 @@ def _walk_schedules(amps: np.ndarray, keys, in_t: np.ndarray) -> dict:
     sign.  ``keys`` are distinct reduced schedules; ``in_t`` marks the
     positions of the pattern's first symbol.
 
+    Column k of the dense state holds three floats: one on row k, one on the
+    other rows outside T and one on the other rows in T.  They start so, and
+    a flip negates the rows of T while the diffusion maps every entry of a
+    column the same way, so equal entries stay bit for bit equal.  The walk
+    evolves these rows of a (3, K) state.  Each diffusion fills ``amps`` from
+    them and sums its columns over every row in order, as the dense state
+    does, and each measurement squares them into ``amps`` and sums its rows.
+
     The keys run in one sorted order, a preorder of their trie with the
     ``j == 1`` branch first (usually the smaller subtree, as P(j = 1) = 1/M).
-    In a preorder the longest prefix a key shares with any later key is the
-    one it shares with the next key.  One checkpoint buffer holds the state at
-    that depth when the key's run passes it, and the next key resumes there;
-    otherwise the next key is replayed from the initial state, so no schedule
-    costs more steps than its own evolution.  ``amps`` is overwritten.
+    Each key resumes at the prefix it shares with the key before it.  The
+    state at every such branching node of the current path is kept on a
+    stack, counted against ``STATE_BYTES_LIMIT`` with ``amps`` before each
+    push, so each distinct non-empty prefix costs one step; a node the budget
+    cannot hold is replayed from the deepest kept one.  ``amps`` is
+    overwritten.
     """
     n, k = amps.shape
-    flip = in_t[:, None]
+    rows_in_t = np.flatnonzero(in_t)
+    flip = np.stack([in_t[:k], np.zeros(k, bool), np.ones(k, bool)])
     # complex128 mean() multiplies by 1/N; float64 mean() would divide by N
     inv_n = 1.0 / n
-    may_checkpoint = 2 * amps.nbytes <= STATE_BYTES_LIMIT
-    checkpoint, resume = None, 0
+    re = amps.real
+    diagonal, re_diagonal = (np.einsum("ii->i", dense[:k]) for dense in (amps, re))
+    initial = np.zeros((3, k), dtype=amps.dtype)
+    initial[0] = 1.0 / np.sqrt(k)
+    stack = [(0, initial)]  # (depth, state) at branching nodes of the current key's path
     order = sorted(keys, key=lambda key: [not j1 for j1 in key])
+    resumes = [0] + [_common_prefix(a, b) for a, b in zip(order, order[1:])]
+    branching = {key[:depth] for key, depth in zip(order, resumes)}
     distributions = {}
-    for key, after in zip(order, order[1:] + [()]):
-        if resume:
-            np.copyto(amps, checkpoint)
-        else:
-            amps.fill(0.0)
-            np.fill_diagonal(amps, 1.0 / np.sqrt(k))
-        start = depth = resume
-        branch = _common_prefix(key, after)
-        resume = branch if may_checkpoint and start <= branch else 0
+    for key, resume in zip(order, resumes):
+        while stack[-1][0] > resume:
+            stack.pop()
+        depth, state = stack[-1][0], stack[-1][1].copy()
         while True:
-            if depth == resume != start:
-                if checkpoint is None:
-                    checkpoint = np.empty_like(amps)
-                np.copyto(checkpoint, amps)
+            if (depth > stack[-1][0] and key[:depth] in branching
+                    and amps.nbytes + (len(stack) + 2) * state.nbytes <= STATE_BYTES_LIMIT):
+                stack.append((depth, state.copy()))
             if depth == len(key):
                 break
             if key[depth]:
-                np.negative(amps, out=amps, where=flip)
-            mu = amps.sum(axis=0) * inv_n
-            np.subtract(2.0 * mu, amps, out=amps)
+                np.negative(state, out=state, where=flip)
+            _fill(amps, diagonal, state, rows_in_t)
+            np.subtract(2.0 * (amps.sum(axis=0) * inv_n), state, out=state)
             depth += 1
         # The imaginary part is always +-0, so |amp|^2 == re*re exactly.
-        re = amps.real
-        np.square(re, out=re)
+        _fill(re, re_diagonal, np.square(state.real), rows_in_t)
         distributions[key] = re.sum(axis=1)
     return distributions
+
+
+def _fill(dense: np.ndarray, diagonal: np.ndarray, rows: np.ndarray, rows_in_t: np.ndarray) -> None:
+    """Write the N x K values of a (3, K) state into ``dense``, whose diagonal view is ``diagonal``."""
+    dense[...] = rows[1]
+    dense[rows_in_t] = rows[2]
+    diagonal[...] = rows[0]
 
 
 def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, config: RunConfig) -> MatchDistribution:

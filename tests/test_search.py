@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmatch import (
     DomainError,
@@ -301,6 +303,7 @@ def _edge_instances():
     # The last 33 positions hold a code that no pattern position holds.
     tail = Text(np.concatenate([rng.integers(0, 4, size=100), np.full(33, 4)]))
     cases.append(("never-matching tail", tail, Pattern(rng.integers(0, 4, size=5))))
+    cases.append(("M=1", Text(rng.integers(0, 4, size=40)), Pattern([1])))
     return [(label, text, pattern, build_index(text)) for label, text, pattern in cases]
 
 
@@ -322,6 +325,32 @@ def _first_symbol_positions(pattern, idx):
 
 def _expected(n, m, schedule, pattern, idx):
     return measure_first_register(_evolve(n, m, schedule, pattern, idx))
+
+
+def _schedule_of(key, m):
+    """A schedule whose reduced schedule is ``key``, its j >= 2 steps cycling over registers 2..M (M >= 2)."""
+    return tuple(1 if flag else 2 + t % (m - 1) for t, flag in enumerate(key))
+
+
+def _prefix_count(keys):
+    """The distinct non-empty prefixes of ``keys``: the nodes of their trie below the root."""
+    return len({key[:depth] for key in keys for depth in range(1, len(key) + 1)})
+
+
+#: Small edge shapes on which the dense reference is cheap; every j >= 2 has a register to use.
+SMALL_INSTANCES = [case for case in _edge_instances() if case[1].n <= 64 and case[2].m >= 2]
+
+#: Fixed reduced schedules: none, single flips and steps, runs and alternations.
+THREE_VALUE_KEYS = [(), (True,), (False,), (True, True), (True, False, True),
+                    (False, True, False, True), (True,) * 5, (True, False) * 4]
+
+
+@st.composite
+def _key_lists(draw):
+    """Reduced schedules with duplicates, prefixes of one another and ``()`` among them."""
+    keys = draw(st.lists(st.lists(st.booleans(), max_size=6).map(tuple), min_size=1, max_size=6))
+    cuts = draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(0, 6)), max_size=4))
+    return keys + [key[:cut] for key, cut in cuts]
 
 
 class _StepCounter(np.ndarray):
@@ -381,8 +410,7 @@ class TestFusedTrialLoop:
                 got = _walk_schedules(amps, dict.fromkeys(group), in_t)
                 assert set(got) == set(group), label
                 for key in group:
-                    js = tuple(1 if flag else 2 + t % (m - 1) for t, flag in enumerate(key))
-                    expected = _expected(n, m, js, pattern, idx)
+                    expected = _expected(n, m, _schedule_of(key, m), pattern, idx)
                     assert np.array_equal(got[key], expected), (label, key)
 
     @pytest.mark.parametrize("r_mode", ["random", 6], ids=_mode_id)
@@ -412,15 +440,28 @@ class TestFusedTrialLoop:
             assert dist.success == success_probability(text, pattern, idx, trials, seed, r_mode=r_mode)
 
     def test_same_bytes_without_checkpoint(self, monkeypatch):
-        # Between 8*N*K and 16*N*K bytes the state fits but its checkpoint does not.
+        # The budget holds the N x K scratch, the working (3, K) state, the initial one and
+        # `kept` checkpoints.  A node it cannot hold is replayed: more steps, the same bytes.
         text, pattern, idx = planted_instance(256, 4, 200, seed=0)
+        in_t = _first_symbol_positions(pattern, idx)
+        keys = dict.fromkeys(_reduced(draw_schedule(trial_rng(8, t), 256, 4)) for t in range(253))
         config = RunConfig(trials=300, seed=8)
-        with_checkpoint = estimate_distribution(text, pattern, idx, config)
-        monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 12 * 256 * 253)
-        without = estimate_distribution(text, pattern, idx, config)
-        assert with_checkpoint.probabilities.tobytes() == without.probabilities.tobytes()
-        assert with_checkpoint.stderr.tobytes() == without.stderr.tobytes()
-        assert with_checkpoint.success == without.success
+        with_checkpoints = estimate_distribution(text, pattern, idx, config)
+        walked = _walk_schedules(_state_buffer(256, 4), keys, in_t)
+        steps = []
+        for kept in (0, 1, 2, 3):
+            monkeypatch.setattr(search, "STATE_BYTES_LIMIT", 8 * 256 * 253 + (kept + 2) * 8 * 3 * 253)
+            squeezed = estimate_distribution(text, pattern, idx, config)
+            assert with_checkpoints.probabilities.tobytes() == squeezed.probabilities.tobytes(), kept
+            assert with_checkpoints.stderr.tobytes() == squeezed.stderr.tobytes(), kept
+            assert with_checkpoints.success == squeezed.success, kept
+            _StepCounter.steps, _StepCounter.costs = 0, []
+            got = _walk_schedules(_state_buffer(256, 4).view(_StepCounter), keys, in_t)
+            assert all(got[key].tobytes() == walked[key].tobytes() for key in keys), kept
+            steps.append(sum(_StepCounter.costs))
+        # With no checkpoint every key replays from the initial state; each one kept saves steps.
+        assert steps[0] == sum(map(len, keys))
+        assert steps == sorted(steps, reverse=True) and steps[-1] > _prefix_count(keys)
 
     def test_k1_state_counted_at_its_complex_size(self, monkeypatch):
         # M = N keeps a complex128 buffer: 16*N bytes, not 8*N.
@@ -443,8 +484,8 @@ class TestFusedTrialLoop:
             estimate_distribution(text, pattern, idx, config)
 
     def test_walk_shares_prefixes(self):
-        # Blocks of 16 trials, as one search-small command runs them.  The
-        # walk's total is pinned, so a change that loses sharing shows here.
+        # Blocks of 16 trials, as one search-small command runs them.  Each distinct non-empty
+        # prefix costs one step, and the total is pinned, so a change that loses sharing shows here.
         total = own = 0
         for n, m, offset, seed in ((256, 4, 200, 0), (212, 10, 190, 1)):
             _, pattern, idx = planted_instance(n, m, offset, seed=seed)
@@ -457,13 +498,14 @@ class TestFusedTrialLoop:
                 # The dict is filled in walk order, one key per measurement.
                 for key, cost in zip(got, _StepCounter.costs):
                     assert cost <= len(key), (n, mc_seed, key)
+                assert sum(_StepCounter.costs) == _prefix_count(keys), (n, mc_seed)
                 total += sum(_StepCounter.costs)
                 own += sum(map(len, keys))
-        assert (total, own) == (602, 1005)
+        assert (total, own) == (559, 1005)
 
     def test_peak_memory_is_a_few_states(self):
-        # One state buffer, one checkpoint and at most K stored distributions;
-        # a buffer per schedule depth would take up to 17 states here.
+        # One N x K scratch buffer, a stack of 3K-float checkpoints and at most K stored
+        # distributions; an N x K buffer per schedule depth would take up to 17 states here.
         text, pattern, idx = planted_instance(256, 4, 200, seed=0)
         state_bytes = 8 * 256 * 253
         tracemalloc.start()
@@ -473,6 +515,37 @@ class TestFusedTrialLoop:
         finally:
             tracemalloc.stop()
         assert peak < 3 * state_bytes
+
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(case=st.sampled_from(SMALL_INSTANCES), keys=_key_lists())
+    def test_walk_property(self, case, keys):
+        # Any key set: each distribution is the dense reference's, byte for byte, and the walk
+        # takes one step per node of the keys' trie.
+        label, text, pattern, idx = case
+        n, m = text.n, pattern.m
+        _StepCounter.steps, _StepCounter.costs = 0, []
+        amps = _state_buffer(n, m).view(_StepCounter)
+        got = _walk_schedules(amps, dict.fromkeys(keys), _first_symbol_positions(pattern, idx))
+        assert set(got) == set(keys), label
+        assert sum(_StepCounter.costs) == _prefix_count(keys), label
+        for key in got:
+            assert got[key].tobytes() == _expected(n, m, _schedule_of(key, m), pattern, idx).tobytes(), (label, key)
+
+    def test_dense_columns_hold_three_values(self):
+        # What the walk keeps of the reference: column k of the dense state holds one float on
+        # row k, one on the other rows of k's class (in T or not) and one on the other class.
+        for label, text, pattern, idx in _edge_instances():
+            n, m = text.n, pattern.m
+            k = n - m + 1
+            in_t = _first_symbol_positions(pattern, idx)
+            role = np.where(in_t[:, None] == in_t[None, :k], 1, 2)
+            role[np.arange(k), np.arange(k)] = 0
+            for key in THREE_VALUE_KEYS:
+                schedule = _schedule_of(key, m) if m > 1 else (1,) * len(key)
+                bits = _evolve(n, m, schedule, pattern, idx).view(np.uint64).reshape(n, k, 2)
+                for r in (1, 2):
+                    held = bits[np.argmax(role == r, axis=0), np.arange(k)]  # a row of role r, if any
+                    assert ((bits == held).all(axis=2) | (role != r)).all(), (label, key, r)
 
 
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
@@ -543,38 +616,79 @@ def _exact_walk(n, k, in_t, key):
     return (c * c).sum(axis=1), k * n ** (2 * len(key))
 
 
+def _exact_class_walk(n, k, in_t, key):
+    """:func:`_exact_walk` from three integers per column type, in O(r) steps per key instead of O(r·N·K).
+
+    Every column of one type, in T or not, holds the same x on its own row, y on the other rows
+    of its class and z on the rows of the other class, so its sum is x + (c_same − 1)·y + c_other·z.
+    """
+    size = {True: int(np.count_nonzero(in_t)), False: n - int(np.count_nonzero(in_t))}
+    columns = {True: (1, 0, 0), False: (1, 0, 0)}  # (x, y, z) of a column in T and of one outside
+    for j1 in key:
+        for c, (x, y, z) in columns.items():
+            if j1:  # the rows of T flip: x and y of a column in T, z of a column outside
+                x, y, z = (-x, -y, z) if c else (x, y, -z)
+            total = x + (size[c] - 1) * y + (n - size[c]) * z
+            columns[c] = (2 * total - n * x, 2 * total - n * y, 2 * total - n * z)
+    own = {True: int(np.count_nonzero(in_t[:k])), False: k - int(np.count_nonzero(in_t[:k]))}
+
+    def numerator(c, diagonal):  # row of class c; ``diagonal`` when it is also a column, i < K
+        x, y, _ = columns[c]
+        return diagonal * x * x + (own[c] - diagonal) * y * y + own[not c] * columns[not c][2] ** 2
+
+    values = {(c, d): numerator(c, d) for c in (True, False) for d in (0, 1)}
+    numerators = np.array([values[bool(in_t[i]), int(i < k)] for i in range(n)], dtype=object)
+    return numerators, k * n ** (2 * len(key))
+
+
 class TestExactReference:
     """The float walk against Grover's iteration in exact integer arithmetic."""
 
     #: Largest distance, in units of the spacing of floats at 1/K, from a walked probability to the
-    #: correctly rounded exact one; the keys below reach 9.
+    #: correctly rounded exact one; the keys below reach 8.
     ULPS = 16
+
+    @staticmethod
+    def _keys(n, m):
+        return dict.fromkeys(_reduced(draw_schedule(trial_rng(1, t), n, m)) for t in range(4))
+
+    def test_class_walk_equals_the_exact_walk(self):
+        for label, text, pattern, idx in _edge_instances():
+            n, m = text.n, pattern.m
+            k = n - m + 1
+            in_t = _first_symbol_positions(pattern, idx)
+            # Any row permutation keeping T and the first K rows commutes with the walk, so the
+            # exact value depends only on (i in T, i < K).
+            classes = in_t * 2 + (np.arange(n) < k)
+            for key in self._keys(n, m):
+                numerators, denominator = _exact_walk(n, k, in_t, key)
+                assert sum(numerators) == denominator, (label, key)
+                assert all(len(set(numerators[classes == c])) <= 1 for c in range(4)), (label, key)
+                by_class = _exact_class_walk(n, k, in_t, key)
+                assert (list(by_class[0]), by_class[1]) == (list(numerators), denominator), (label, key)
 
     def test_walk_within_ulps_of_the_exact_reference(self):
         for label, text, pattern, idx in _edge_instances():
             n, m = text.n, pattern.m
             k = n - m + 1
             in_t = _first_symbol_positions(pattern, idx)
-            keys = dict.fromkeys(_reduced(draw_schedule(trial_rng(1, t), n, m)) for t in range(4))
+            keys = self._keys(n, m)
             walked = _walk_schedules(_state_buffer(n, m), keys, in_t)
-            # Any row permutation keeping T and the first K rows commutes with the walk, so the
-            # exact value depends only on (i in T, i < K).
-            classes = in_t * 2 + (np.arange(n) < k)
             for key in keys:
-                numerators, denominator = _exact_walk(n, k, in_t, key)
-                assert sum(numerators) == denominator, (label, key)
-                assert all(len(set(numerators[classes == c])) <= 1 for c in range(4)), (label, key)
+                numerators, denominator = _exact_class_walk(n, k, in_t, key)
                 exact = np.array([x / denominator for x in numerators])  # int / int rounds correctly
                 assert np.abs(walked[key] - exact).max() <= self.ULPS * np.spacing(1 / k), (label, key)
 
     def test_printed_argmax_lies_in_the_exact_maximum_class(self):
-        # The m_equals_n golden: the exact mean over its trials' schedules, as integers over one denominator.
-        label, text, pattern, config = next(case for case in _golden_shapes() if case[0] == "m_equals_n")
-        n, m = text.n, pattern.m
-        in_t = _first_symbol_positions(pattern, build_index(text))
-        keys = [_reduced(draw_schedule(trial_rng(config.seed, t), n, m, config.r_mode)) for t in range(config.trials)]
-        depth = max(map(len, keys))
-        total = sum(_exact_walk(n, n - m + 1, in_t, key)[0] * n ** (2 * (depth - len(key))) for key in keys)
-        printed = (GOLDEN_INPUTS.parent / f"{label}.stdout").read_text().splitlines()[0]
-        assert printed.startswith("measured argmax: ")
-        assert total[int(printed.split()[-1])] == max(total)
+        # Each golden: the exact mean over its trials' schedules, as integers over one denominator.
+        for label, text, pattern, config in _golden_shapes():
+            n, m = text.n, pattern.m
+            in_t = _first_symbol_positions(pattern, build_index(text))
+            keys = [_reduced(draw_schedule(trial_rng(config.seed, t), n, m, config.r_mode))
+                    for t in range(config.trials)]
+            depth = max(map(len, keys))
+            total = sum(_exact_class_walk(n, n - m + 1, in_t, key)[0] * n ** (2 * (depth - len(key)))
+                        for key in keys)
+            printed = (GOLDEN_INPUTS.parent / f"{label}.stdout").read_text().splitlines()[0]
+            assert printed.startswith("measured argmax: "), label
+            assert total[int(printed.split()[-1])] == max(total), label
