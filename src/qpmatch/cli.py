@@ -311,23 +311,19 @@ def build_parser() -> _Parser:
     q.add_argument("--width", type=int, required=True)
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--b", type=int, required=True)
-    q.add_argument("--verify", action="store_true")
-    q.add_argument("--emit", default=None)
-    q.set_defaults(func=cmd_synth)
 
     q = synth_sub.add_parser("oracle")
     q.add_argument("--text", dest="oracle_text", required=True, help="text literal")
     q.add_argument("--symbol", required=True, help="a one-byte character")
-    q.add_argument("--verify", action="store_true")
-    q.add_argument("--emit", default=None)
-    q.set_defaults(func=cmd_synth)
 
     q = synth_sub.add_parser("init-state")
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
-    q.add_argument("--verify", action="store_true")
-    q.add_argument("--emit", default=None)
-    q.set_defaults(func=cmd_synth)
+
+    for q in synth_sub.choices.values():
+        q.add_argument("--verify", action="store_true")
+        q.add_argument("--emit", default=None)
+        q.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("scaling-report", help="oracle gate-count scaling table")
     p.add_argument("--n-min", type=int, default=3)
@@ -349,10 +345,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help and friends
         return 0 if exc.code in (0, None) else EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except DomainError as exc:
+    except (OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ResourceError as exc:

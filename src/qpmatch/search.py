@@ -10,6 +10,7 @@ the r register choices j, then the measurement sample.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +150,6 @@ def _state_buffer(n: int, m: int) -> np.ndarray:
     return np.empty((n, k), dtype=dtype)
 
 
-def _common_prefix(a: tuple, b: tuple) -> int:
-    length = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        length += 1
-    return length
-
-
 def _walk_schedules(amps: np.ndarray, keys, in_t: np.ndarray) -> dict:
     """``measure_first_register(_evolve(...))`` of each reduced schedule, bit for bit.
 
@@ -177,13 +169,13 @@ def _walk_schedules(amps: np.ndarray, keys, in_t: np.ndarray) -> dict:
     does, and each measurement squares them into ``amps`` and sums its rows.
 
     The keys run in one sorted order, a preorder of their trie with the
-    ``j == 1`` branch first (usually the smaller subtree, as P(j = 1) = 1/M).
-    Each key resumes at the prefix it shares with the key before it.  The
-    state at every such branching node of the current path is kept on a
-    stack, counted against ``STATE_BYTES_LIMIT`` with ``amps`` before each
-    push, so each distinct non-empty prefix costs one step; a node the budget
-    cannot hold is replayed from the deepest kept one.  ``amps`` is
-    overwritten.
+    ``j == 1`` branch first (usually the smaller subtree, as P(j = 1) = 1/M),
+    so the keys below each trie node form a run.  At each node the walk
+    measures the key ending there, which sorts first in its run, stacks the
+    ``j >= 2`` run and steps into the ``j == 1`` one: one step per trie node.
+    A stacked run keeps a copy of the node's state if ``STATE_BYTES_LIMIT``
+    holds it with ``amps`` and the states kept; if not, it is replayed from
+    the deepest state kept below it, never refused.  ``amps`` is overwritten.
     """
     n, k = amps.shape
     rows_in_t = np.flatnonzero(in_t)
@@ -194,29 +186,36 @@ def _walk_schedules(amps: np.ndarray, keys, in_t: np.ndarray) -> dict:
     diagonal, re_diagonal = (np.einsum("ii->i", dense[:k]) for dense in (amps, re))
     initial = np.zeros((3, k), dtype=amps.dtype)
     initial[0] = 1.0 / np.sqrt(k)
-    stack = [(0, initial)]  # (depth, state) at branching nodes of the current key's path
     order = sorted(keys, key=lambda key: [not j1 for j1 in key])
-    resumes = [0] + [_common_prefix(a, b) for a, b in zip(order, order[1:])]
-    branching = {key[:depth] for key, depth in zip(order, resumes)}
+    # (first, end, depth, state or None): runs of `order` left to walk below the node at
+    # `depth`, with its state if the budget held a copy.  The empty bottom run holds the initial state.
+    stack, held = [(0, 0, 0, initial)], 1
+    first, end, depth, state = 0, len(order), 0, initial.copy()
     distributions = {}
-    for key, resume in zip(order, resumes):
-        while stack[-1][0] > resume:
-            stack.pop()
-        depth, state = stack[-1][0], stack[-1][1].copy()
-        while True:
-            if (depth > stack[-1][0] and key[:depth] in branching
-                    and amps.nbytes + (len(stack) + 2) * state.nbytes <= STATE_BYTES_LIMIT):
-                stack.append((depth, state.copy()))
-            if depth == len(key):
-                break
-            if key[depth]:
+    while first < end or len(stack) > 1:
+        if first == end:
+            first, end, depth, state = stack.pop()
+            if state is None:
+                depth, state = next((d, saved.copy()) for *_, d, saved in reversed(stack) if saved is not None)
+            else:
+                held -= 1
+        elif len(order[first]) == depth:
+            # The imaginary part is always +-0, so |amp|^2 == re*re exactly.
+            _fill(re, re_diagonal, np.square(state.real), rows_in_t)
+            distributions[order[first]] = re.sum(axis=1)
+            first += 1
+        else:
+            j1 = order[first][depth]
+            if j1 != order[end - 1][depth]:
+                split = bisect_left(order, True, first, end, key=lambda key: not key[depth])
+                kept = amps.nbytes + (held + 2) * state.nbytes <= STATE_BYTES_LIMIT
+                stack.append((split, end, depth, state.copy() if kept else None))
+                held, end = held + kept, split
+            if j1:
                 np.negative(state, out=state, where=flip)
             _fill(amps, diagonal, state, rows_in_t)
             np.subtract(2.0 * (amps.sum(axis=0) * inv_n), state, out=state)
             depth += 1
-        # The imaginary part is always +-0, so |amp|^2 == re*re exactly.
-        _fill(re, re_diagonal, np.square(state.real), rows_in_t)
-        distributions[key] = re.sum(axis=1)
     return distributions
 
 
@@ -238,9 +237,10 @@ def estimate_distribution(text: Text, pattern: Pattern, index: OracleIndex, conf
     result itself as ``baseline``.
 
     Trials run in blocks of K = N - M + 1: a block's schedules are drawn
-    first, each distinct reduced schedule is evolved once by
-    :func:`_walk_schedules`, and the sums and success draws then follow in
-    trial order.  A block's distributions take at most the state's N*K floats.
+    first, :func:`_walk_schedules` evolves their distinct reduced schedules in
+    one depth-first pass, a step per node of their trie, and the sums and
+    success draws then follow in trial order.  A block's distributions take
+    at most the state's N*K floats.
     """
     if pattern.m > text.n:
         raise DomainError("pattern longer than text")

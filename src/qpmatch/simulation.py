@@ -19,8 +19,9 @@ from .errors import DomainError, ResourceError, _is_count
 #: Hard cap on the naive tensor dimension N^M.
 FULL_REFERENCE_LIMIT = 2**20
 
-#: Hard cap, in bytes, on an N x K search state: the trial loop's float64
-#: buffer and :func:`init_state`'s complex one.
+#: Hard cap, in bytes, on an N x K search state: :func:`init_state`'s complex
+#: one, and the trial loop's float64 buffer together with the (3, K) states
+#: that the search walk keeps as checkpoints.
 STATE_BYTES_LIMIT = 2**28
 
 NORM_TOL = 1e-10

@@ -1,9 +1,10 @@
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpmatch import (
@@ -353,6 +354,54 @@ def _key_lists(draw):
     return keys + [key[:cut] for key, cut in cuts]
 
 
+def _tiny_instances():
+    """Edge shapes as in ``SMALL_INSTANCES`` (K = 2, |T| = 0, |T| = N, K = 1) at N <= 16, where deep keys
+    keep the dense reference cheap."""
+    rng = np.random.default_rng(13)
+    cases = [
+        ("planted N=16", *planted_instance(16, 3, 9, seed=2)[:2]),
+        ("K=2", Text(rng.integers(0, 3, size=12)), Pattern(rng.integers(0, 3, size=11))),
+        ("|T|=0", Text(rng.integers(0, 4, size=10)), Pattern([9, 1, 2])),
+        ("|T|=N", Text(np.zeros(8, dtype=np.int64)), Pattern([0, 1])),
+    ]
+    for n in (7, 8):  # K = 1 at odd and even N
+        codes = rng.integers(0, 4, size=n)
+        cases.append((f"K=1 N={n}", Text(codes), Pattern(np.roll(codes, 1))))
+    return [(label, text, pattern, build_index(text)) for label, text, pattern in cases]
+
+
+TINY_INSTANCES = _tiny_instances()
+
+#: Branches at depths 3, 4 and 5 of one path, each walked while the shallower ones wait stacked.
+NESTED_BRANCHES = [(False, True, False, True, True, False, True), (False, True, False, False, False),
+                   (False, True, False, True, False, False), (False, True, False, True, True, True),
+                   (False, True, False), (False,)]
+
+
+@st.composite
+def _deep_key_lists(draw):
+    """1-8 keys of up to 40 steps.  Each key after the first is cut from one before it and then
+    extended, or branched off it at the cut, so runs nest many levels deep on the walk's stack."""
+    keys = [draw(st.lists(st.booleans(), max_size=40).map(tuple))]
+    for _ in range(draw(st.integers(0, 7))):
+        stem = draw(st.sampled_from(keys))
+        cut = len(stem) - draw(st.integers(0, len(stem)))  # shrinks toward deep cuts
+        branch = (not stem[cut],) if cut < len(stem) and draw(st.booleans()) else ()
+        keys.append(stem[:cut] + branch + tuple(draw(st.lists(st.booleans(), max_size=39 - cut))))
+    return keys
+
+
+class _ReadCounter(tuple):
+    """A reduced schedule that counts the flags read from it by index or by slice."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        _ReadCounter.reads += len(item) if isinstance(index, slice) else 1
+        return item
+
+
 class _StepCounter(np.ndarray):
     """A float64 state buffer that counts the walk's diffusion steps per measured key.
 
@@ -459,9 +508,12 @@ class TestFusedTrialLoop:
             got = _walk_schedules(_state_buffer(256, 4).view(_StepCounter), keys, in_t)
             assert all(got[key].tobytes() == walked[key].tobytes() for key in keys), kept
             steps.append(sum(_StepCounter.costs))
-        # With no checkpoint every key replays from the initial state; each one kept saves steps.
-        assert steps[0] == sum(map(len, keys))
-        assert steps == sorted(steps, reverse=True) and steps[-1] > _prefix_count(keys)
+        # A stacked run the budget cannot hold replays from the deepest state kept, but a key
+        # still shares the walk of the key it extends: the steps lie between one per trie node
+        # and one per step of each key, and each checkpoint kept saves some.
+        assert all(_prefix_count(keys) <= step <= sum(map(len, keys)) for step in steps)
+        assert steps == sorted(steps, reverse=True)
+        assert steps == [1220, 995, 710, 591]
 
     def test_k1_state_counted_at_its_complex_size(self, monkeypatch):
         # M = N keeps a complex128 buffer: 16*N bytes, not 8*N.
@@ -530,6 +582,39 @@ class TestFusedTrialLoop:
         assert sum(_StepCounter.costs) == _prefix_count(keys), label
         for key in got:
             assert got[key].tobytes() == _expected(n, m, _schedule_of(key, m), pattern, idx).tobytes(), (label, key)
+
+    @settings(derandomize=True, deadline=None, max_examples=30, database=None)
+    @given(case=st.sampled_from(TINY_INSTANCES), keys=_deep_key_lists(),
+           kept=st.sampled_from([0, 1, 2, 3, None]))
+    @example(case=TINY_INSTANCES[0], keys=NESTED_BRANCHES, kept=1)
+    @example(case=TINY_INSTANCES[-1], keys=NESTED_BRANCHES, kept=2)
+    def test_deep_keys_under_a_squeezed_budget(self, case, keys, kept):
+        # A budget of `kept` checkpoints (None: no bound) stacks runs without a state, which
+        # replay from whichever state is kept deepest below them, the initial one or a checkpoint
+        # (at depth 3 or 4 for the explicit examples).
+        label, text, pattern, idx = case
+        n, m = text.n, pattern.m
+        amps = _state_buffer(n, m)
+        limit = search.STATE_BYTES_LIMIT if kept is None else amps.nbytes + (kept + 2) * 3 * amps[0].nbytes
+        with mock.patch.object(search, "STATE_BYTES_LIMIT", limit):
+            got = _walk_schedules(amps, dict.fromkeys(keys), _first_symbol_positions(pattern, idx))
+        assert set(got) == set(keys), label
+        for key in got:
+            assert got[key].tobytes() == _expected(n, m, _schedule_of(key, m), pattern, idx).tobytes(), (label, key)
+
+    def test_walk_reads_a_few_flags_per_step(self):
+        # The keys below a trie node are a run of the sorted keys, so the walk finds each branch
+        # by comparing the run's first and last keys at one depth: a constant number of flags
+        # read per step, where a prefix sliced at every step reads r / 2 and makes the walk r^2.
+        _, pattern, idx = planted_instance(8, 2, 3, seed=0)
+        rng = np.random.default_rng(5)
+        stems = [tuple((rng.random(4000) < 0.5).tolist()) for _ in range(3)]
+        keys = dict.fromkeys(map(_ReadCounter, stems + [stems[0][:2500] + stems[1][2500:]]))
+        _StepCounter.steps, _StepCounter.costs, _ReadCounter.reads = 0, [], 0
+        _walk_schedules(_state_buffer(8, 2).view(_StepCounter), keys, _first_symbol_positions(pattern, idx))
+        steps, reads = sum(_StepCounter.costs), _ReadCounter.reads
+        assert len(_StepCounter.costs) == len(keys) and steps > 3 * 4000
+        assert reads <= 3 * steps, reads / steps
 
     def test_dense_columns_hold_three_values(self):
         # What the walk keeps of the reference: column k of the dense state holds one float on
