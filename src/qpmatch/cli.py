@@ -100,8 +100,7 @@ def _parse_r_mode(raw: str):
 def _load_pattern(args) -> Pattern:
     if args.pattern is not None:
         return Pattern.from_bytes(os.fsencode(args.pattern))
-    with open(args.pattern_file, "rb") as fh:
-        return Pattern.from_bytes(fh.read())
+    return Pattern.from_file(args.pattern_file)
 
 
 # --- subcommands ---

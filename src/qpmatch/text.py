@@ -57,11 +57,6 @@ def _holds(symbols: np.ndarray, code: int) -> bool:
     return info.min <= code <= info.max
 
 
-def _same_codes(self, other):
-    """``__eq__`` of :class:`Text` and :class:`Pattern`; a class body defining ``__eq__`` is unhashable."""
-    return np.array_equal(self.symbols, other.symbols) if type(other) is type(self) else NotImplemented
-
-
 @dataclass(frozen=True, eq=False)
 class Text:
     """An immutable string of symbol codes of length N.
@@ -74,13 +69,15 @@ class Text:
     """
 
     symbols: np.ndarray
+    _noun = "text"  # names the type in its error messages
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", _frozen_codes(self.symbols))
         if self.n < 1:
-            raise DomainError("text must contain at least one symbol")
+            raise DomainError(f"{self._noun} must contain at least one symbol")
 
-    __eq__ = _same_codes
+    def __eq__(self, other):  # defined in the class body, so a text is unhashable
+        return np.array_equal(self.symbols, other.symbols) if type(other) is type(self) else NotImplemented
 
     @property
     def n(self) -> int:
@@ -96,7 +93,7 @@ class Text:
     @classmethod
     def from_bytes(cls, data: bytes) -> "Text":
         if not data:
-            raise DomainError("empty text")
+            raise DomainError(f"empty {cls._noun}")
         return cls(np.frombuffer(data, dtype=np.uint8))  # a view; the constructor makes the one copy
 
     @classmethod
@@ -105,33 +102,14 @@ class Text:
             return cls.from_bytes(fh.read())
 
 
-@dataclass(frozen=True, eq=False)
-class Pattern:
-    """An immutable sequence of symbol codes of length M.
+class Pattern(Text):
+    """A text of length M, searched for in a longer text over the same alphabet.
 
-    ``symbols`` follows the rule of :class:`Text`: a read-only copy, uint8
-    when every code is in 0..255 and int64 otherwise.
-    Patterns with equal codes compare equal; a pattern is not hashable.
+    A pattern compares equal only to patterns.
     """
 
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", _frozen_codes(self.symbols))
-        if self.m < 1:
-            raise DomainError("pattern must contain at least one symbol")
-
-    __eq__ = _same_codes
-
-    @property
-    def m(self) -> int:
-        return len(self.symbols)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Pattern":
-        if not data:
-            raise DomainError("empty pattern")
-        return cls(np.frombuffer(data, dtype=np.uint8))
+    _noun = "pattern"
+    m = Text.n
 
 
 @dataclass(frozen=True)
@@ -318,12 +296,7 @@ def recode_kgrams(text: Text, pattern: Pattern, k: int):
     codes = {}
 
     def encode(symbols) -> list:
-        out = []
-        for i in range(len(symbols) - k + 1):
-            gram = tuple(int(s) for s in symbols[i : i + k])
-            out.append(codes.setdefault(gram, len(codes)))
-        return out
+        values = symbols.tolist()  # one pass into Python ints, no numpy scalar per position
+        return [codes.setdefault(gram, len(codes)) for gram in zip(*(values[i:] for i in range(k)))]
 
-    new_text = encode(text.symbols)
-    new_pattern = encode(pattern.symbols)
-    return Text(new_text), Pattern(new_pattern)
+    return Text(encode(text.symbols)), Pattern(encode(pattern.symbols))

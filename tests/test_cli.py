@@ -474,6 +474,19 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(("text", "pattern", "expected"), [
+        (b"abab", ["--pattern", ""], "error: empty pattern\n"),
+        (b"abab", ["--pattern-file", "empty.bin"], "error: empty pattern\n"),
+        (b"", ["--pattern", "ab"], "error: empty text\n"),
+    ], ids=["pattern", "pattern-file", "text"])
+    @pytest.mark.parametrize("command", ["baseline", "search"])
+    def test_empty_inputs(self, capsys, tmp_path, monkeypatch, command, text, pattern, expected):
+        monkeypatch.chdir(tmp_path)
+        Path("t.bin").write_bytes(text)
+        Path("empty.bin").write_bytes(b"")
+        code, out, err = run_cli(capsys, command, "--text", "t.bin", *pattern)
+        assert (code, out, err) == (2, "", expected)
+
     def test_fixed_r_not_an_integer(self, capsys, tmp_path):
         # Only canonical ASCII decimal k: int() reads most of these, under a label they were not given.
         path = tmp_path / "t.bin"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpmatch import (
     DomainError,
@@ -75,10 +77,24 @@ class TestCodeDtype:
         with pytest.raises(DomainError, match="one-dimensional"):
             cls(codes)
 
-    @pytest.mark.parametrize("cls", [Text, Pattern])
-    def test_empty_codes_need_one_symbol(self, cls):
-        with pytest.raises(DomainError, match="at least one symbol"):
+    @pytest.mark.parametrize(("cls", "noun"), [(Text, "text"), (Pattern, "pattern")], ids=["Text", "Pattern"])
+    def test_empty_codes_need_one_symbol(self, cls, noun):
+        with pytest.raises(DomainError) as excinfo:
             cls([])
+        assert str(excinfo.value) == f"{noun} must contain at least one symbol"
+        with pytest.raises(DomainError) as excinfo:
+            cls.from_bytes(b"")
+        assert str(excinfo.value) == f"empty {noun}"
+
+
+class TestFromFile:
+    @pytest.mark.parametrize("cls", [Text, Pattern])
+    def test_reads_the_bytes_of_a_file(self, cls, tmp_path):
+        path = tmp_path / "codes.bin"
+        path.write_bytes(b"ab\xff")
+        value = cls.from_file(path)
+        assert type(value) is cls
+        assert value.symbols.tolist() == [97, 98, 255]
 
 
 class TestEquality:
@@ -93,6 +109,11 @@ class TestEquality:
         assert P("ab") == Pattern([97, 98])
         assert Pattern([7, 300]) != Pattern([7, 301])
         assert Pattern([7]) != Pattern([7, 7])
+
+    def test_a_pattern_is_a_text(self):
+        assert isinstance(Pattern([1, 2]), Text)
+        assert not isinstance(Text([1, 2]), Pattern)
+        assert Pattern([1, 2]).m == Pattern([1, 2]).n == 2
 
     def test_a_text_is_not_a_pattern(self):
         assert Text([1, 2]) != Pattern([1, 2])
@@ -242,6 +263,26 @@ class TestClosestMatch:
             assert (hamming_score(text, pattern, o) == 3) == occurs
 
 
+def _first_appearance(sequences, k):
+    """Each sequence as its k-gram codes, a gram new to all sequences so far taking the next code."""
+    numbering, recoded = {}, []
+    for seq in sequences:
+        grams = [tuple(seq[i : i + k]) for i in range(len(seq) - k + 1)]
+        for gram in grams:
+            if gram not in numbering:
+                numbering[gram] = len(numbering)
+        recoded.append([numbering[gram] for gram in grams])
+    return recoded, len(numbering)
+
+
+# name: (draw codes from a generator, range of text lengths)
+KGRAM_TEXTS = {
+    "uint8": (lambda rng, n: rng.choice(rng.integers(0, 256, 5), n).astype(np.uint8), (3, 60)),
+    "negative": (lambda rng, n: rng.integers(-3, 3, n), (3, 60)),  # int64 codes
+    "wide": (lambda rng, n: rng.integers(0, 64, n), (400, 600)),  # more than 256 distinct grams
+}
+
+
 class TestRecodeKgrams:
     def test_text_windows(self):
         text, _ = recode_kgrams(T("abab"), P("ab"), 2)
@@ -264,6 +305,25 @@ class TestRecodeKgrams:
             orig = [o for o in range(37) if hamming_score(text, pattern, o) == 4]
             rec = [o for o in range(rt.n - rp.m + 1) if hamming_score(rt, rp, o) == rp.m]
             assert rec == orig == [12]
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(kind=st.sampled_from(sorted(KGRAM_TEXTS)), k=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_codes_by_first_appearance(self, kind, k, seed):
+        # The codes and dtypes of a first-appearance numbering written out here: text first, then
+        # pattern, one dict for both.
+        rng = np.random.default_rng(seed)
+        draw, lengths = KGRAM_TEXTS[kind]
+        codes = draw(rng, int(rng.integers(*lengths)))
+        start = int(rng.integers(0, len(codes) - k + 1))
+        pat = codes[start : start + int(rng.integers(k, 12))].copy()
+        fresh = rng.random(len(pat)) < 0.3
+        pat[fresh] = draw(rng, int(fresh.sum()))  # partly the text's grams, partly new ones
+        expected, distinct = _first_appearance([codes.tolist(), pat.tolist()], k)
+        if kind == "wide":
+            assert distinct > 256
+        for got, want in zip(recode_kgrams(Text(codes), Pattern(pat), k), expected):
+            assert got.symbols.tolist() == want
+            assert got.symbols.dtype == (np.uint8 if max(want) <= 255 else np.int64)
 
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
